@@ -282,8 +282,8 @@ def _solve_report(parsed: ParsedProblem) -> Dict[str, Any]:
     head = {"schema": SCHEMA, "space": parsed.space, "task": parsed.task}
     if parsed.task == "mni":
         if parsed.space == "l1":
-            cert = _sequence.dual_solve_l1(base)
             sol = _sequence.mni_solve_l1(base)
+            cert = sol.certificate
             return {**head, "optimal_value": sol.norm,
                     "dual": _dual_json_seq(cert),
                     "atoms": _atoms_json(sol.atoms),
@@ -427,8 +427,8 @@ def _oracle_verify(parsed: ParsedProblem) -> Dict[str, Any]:
     base = parsed.base
     head = {"schema": SCHEMA, "space": parsed.space, "task": "oracle-verify"}
     if parsed.space == "l1":
-        cert = _sequence.dual_solve_l1(base)
         sol = _sequence.mni_solve_l1(base)
+        cert = sol.certificate
         V = _sequence.truncation_matrix(base.functionals, cert.attainment,
                                         base.options.tol)
         report = _oracle.vertex_enumerate_l1(V.array, base.y_vector(),
@@ -493,7 +493,8 @@ def run_demo(tol: float = 1e-9, attain_tol: float = 1e-7, out=None) -> int:
         if not ok:
             failures.append(f"{name}: {detail}" if detail else name)
 
-    cert = _sequence.dual_solve_l1(problem)
+    sol = _sequence.mni_solve_l1(problem)
+    cert = sol.certificate
     c = cert.coefficient_vector()
     print(f"dual optimum m0 = {cert.value:.17g}", file=out)
     print(f"solver vertex c = [{c[0]:.17g}, {c[1]:.17g}]", file=out)
@@ -533,7 +534,6 @@ def run_demo(tol: float = 1e-9, attain_tol: float = 1e-7, out=None) -> int:
               float(np.max(np.abs(cmin - np.array([0.0, 1.0])))) <= 1e-8,
               f"c={cmin!r}")
 
-    sol = _sequence.mni_solve_l1(problem)
     print(f"solution atoms = {list(sol.atoms)}  l1 norm = {sol.norm:.17g}", file=out)
     check("solution is the first coordinate atom",
           len(sol.atoms) == 1 and sol.atoms[0][0] == 1.0

@@ -355,6 +355,8 @@ class SparseSolution:
     ``residual`` the sup-norm data misfit, ``rank_bound`` the rank of the
     measurement matrix over the candidate sites, and ``dual_value`` the
     certified optimal value (for regularization outputs, the objective).
+    ``certificate`` is the dual certificate of the solve when it has one
+    (l1 minimum-norm interpolation); printing and equality ignore it.
     """
 
     atoms: Tuple[Tuple[float, float], ...]
@@ -362,6 +364,7 @@ class SparseSolution:
     residual: float
     rank_bound: int
     dual_value: float
+    certificate: Optional[object] = field(default=None, repr=False, compare=False)
 
     def sites(self) -> Tuple[float, ...]:
         return tuple(site for site, _ in self.atoms)
@@ -386,11 +389,12 @@ class SparseSolution:
 
 
 def make_solution(atoms, norm, residual, rank_bound, dual_value,
-                  n: int, tol: float) -> SparseSolution:
+                  n: int, tol: float, certificate=None) -> SparseSolution:
     """Construct a SparseSolution and assert its invariants."""
     sol = SparseSolution(atoms=tuple((float(s), float(c)) for s, c in atoms),
                          norm=float(norm), residual=float(residual),
-                         rank_bound=int(rank_bound), dual_value=float(dual_value))
+                         rank_bound=int(rank_bound), dual_value=float(dual_value),
+                         certificate=certificate)
     sol.validate(n, tol)
     return sol
 

@@ -31,6 +31,7 @@ from .optim import OPTIMAL, UNBOUNDED, basis_pursuit, linear_program, lp_solve
 
 _DERIV_TOL = 1e-10
 _FLAT_EPS = 1e-12
+_MAX_SCAN_POINTS = 2 ** 20  # the exchange method densifies its scan grid up to this
 
 
 def _kernel(problem: GaussProblem, t) -> np.ndarray:
@@ -311,8 +312,9 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     each round solves the finite LP, locates the worst violation of the
     sup-norm constraint by grid scan plus Newton refinement, and adds the
     violating points.  Terminates when the violation is at most
-    ``attain_tol``; hitting ``max_exchange_iters`` raises with the last
-    violation.
+    ``attain_tol``; hitting ``max_exchange_iters``, or a stall that would
+    need a scan grid of more than ``_MAX_SCAN_POINTS`` points, raises
+    ConvergenceError with the last violation.
     """
     y = problem.y_vector()
     if float(np.max(np.abs(y))) == 0.0:
@@ -351,8 +353,12 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
                 added = True
         if not added:
             # violation between grid knots but refinement collapsed onto
-            # existing points: densify the scan
+            # existing points: densify the scan, within a bounded grid
             step /= 2.0
+            if (hi - lo) / step + 1.0 > _MAX_SCAN_POINTS:
+                raise ConvergenceError(f"exchange method stalled at violation "
+                                       f"{violation:.3e} on a full scan grid",
+                                       residual=violation)
         working = sorted(working)
     raise ConvergenceError(
         f"exchange method exceeded {problem.options.max_exchange_iters} "

@@ -4,7 +4,9 @@ A dense two-phase tableau simplex with Bland's anti-cycling rule
 (deterministic, vertex-returning), an exact l1 basis-pursuit solver built
 on it, and a restarted accelerated proximal-gradient solver for the
 square-loss l1-regularized subproblem.  Desk scale throughout: a few
-hundred rows at most, determinism valued over speed.
+hundred rows at most.  Each tableau is allocated once and filled by
+vectorized indexing, so assembly costs little next to the pivots; the
+pivot rule is plain Bland, so every LP follows one fixed pivot sequence.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .core import ConvergenceError, DomainError, matrix_rank
 
 _PIVOT_TOL = 1e-11
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -106,37 +109,46 @@ def _bland_phase(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         basis[r] = j
 
 
-def _solve_standard(A: np.ndarray, b: np.ndarray, cost: np.ndarray,
-                    tol: float) -> Tuple[np.ndarray, np.ndarray, str]:
-    """Two-phase simplex for min cost.x s.t. Ax = b, x >= 0.
-
-    Returns (x, basis, status).  Rows with negative b are flipped.  A
-    crash basis is read off structural singleton +1 columns (the slacks
-    of inequality rows); only rows without one receive an artificial
-    variable, so pure inequality problems skip phase 1 entirely.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
+def _crash_basis(A: np.ndarray) -> np.ndarray:
+    """Per row, the first column whose only nonzero is a +1 in that row, or -1."""
     m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
     basis = np.full(m, -1, dtype=int)
-    nonzero_per_col = np.count_nonzero(A, axis=0) if n else np.zeros(0, dtype=int)
-    for j in np.nonzero(nonzero_per_col == 1)[0]:
-        i = int(np.nonzero(A[:, j])[0][0])
-        if basis[i] == -1 and A[i, j] == 1.0:
-            basis[i] = j
+    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
+    single = (np.bincount(cols, minlength=n)[cols] == 1) & (A[rows, cols] == 1.0)
+    rows, cols = rows[single], cols[single]
+    # the hits run row by row, so the first hit of a row is its smallest column
+    crash_rows, first = np.unique(rows, return_index=True)
+    basis[crash_rows] = cols[first]
+    return basis
+
+
+def _solve_standard(T: np.ndarray, cost: np.ndarray,
+                    tol: float) -> Tuple[np.ndarray, np.ndarray, str]:
+    """Two-phase simplex for min cost.x s.t. Ax = b, x >= 0, on T = [A | b].
+
+    Takes ownership of T and overwrites it.  Returns (x, basis, status).
+    Rows with negative b are flipped.  A crash basis is read off
+    structural singleton +1 columns (the slacks of inequality rows); only
+    rows without one receive an artificial variable, so pure inequality
+    problems skip phase 1 entirely.
+    """
+    m, n = T.shape[0], T.shape[1] - 1
+    T[T[:, -1] < 0] *= -1.0
+    A = T[:, :n]
+    b = T[:, -1]
+
+    basis = _crash_basis(A)
     need = np.nonzero(basis == -1)[0]
 
     if need.size:
-        art = np.zeros((m, need.size))
-        for k, i in enumerate(need):
-            art[i, k] = 1.0
-            basis[i] = n + k
-        T = np.hstack([A, art, b[:, None]])
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(need.size)])
+        k = need.size
+        T = np.zeros((m, n + k + 1))  # A and b still view the original tableau
+        T[:, :n] = A
+        T[need, n + np.arange(k)] = 1.0
+        T[:, -1] = b
+        basis[need] = n + np.arange(k)
+        phase1_cost = np.zeros(n + k)
+        phase1_cost[n:] = 1.0
         status = _bland_phase(T, basis, phase1_cost, _PIVOT_TOL)
         if status != OPTIMAL:  # phase 1 is always bounded below by 0
             return np.zeros(n), basis, INFEASIBLE
@@ -163,12 +175,8 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, cost: np.ndarray,
             T[r, j] = 1.0
             basis[r] = j
             keep_rows.append(r)
-        if len(keep_rows) < m:
-            T = T[keep_rows]
-            basis = basis[keep_rows]
-        T = np.hstack([T[:, :n], T[:, -1:]])
-    else:
-        T = np.hstack([A, b[:, None]])
+        T = T[np.ix_(keep_rows, np.r_[0:n, n + k])]
+        basis = basis[keep_rows]
 
     status = _bland_phase(T, basis, cost, _PIVOT_TOL)
     x = np.zeros(n)
@@ -187,63 +195,55 @@ def lp_solve(lp: LinearProgram, tol: float = 1e-9) -> VertexSolution:
     c = np.asarray(lp.objective, dtype=float)
     if lp.maximize:
         c = -c
-    A = np.atleast_2d(np.asarray(lp.A, dtype=float)).copy()
-    b = np.asarray(lp.b, dtype=float).copy()
-    senses = list(lp.senses)
+    A = np.atleast_2d(np.asarray(lp.A, dtype=float))
+    b = np.asarray(lp.b, dtype=float)
 
-    # variable substitutions: columns of `pieces` rebuild x from standard vars
-    n_orig = c.size
-    cols: List[np.ndarray] = []
-    std_cost: List[float] = []
-    shift = np.zeros(n_orig)
-    col_maps: List[Tuple[int, float]] = []  # (original var, sign)
-    for j in range(n_orig):
-        lo, hi = lp.bounds[j]
+    # variable substitutions: standard column k is sign[k] * (x[src[k]] - shift)
+    src: List[int] = []
+    sign: List[float] = []
+    shift = np.zeros(c.size)
+    boxed: List[int] = []
+    for j, (lo, hi) in enumerate(lp.bounds):
         if lo is None and hi is None:
-            col_maps.append((j, 1.0))
-            col_maps.append((j, -1.0))
+            src += [j, j]
+            sign += [1.0, -1.0]
         elif lo is None:  # x <= hi: substitute x = hi - x', x' >= 0
             shift[j] = hi
-            col_maps.append((j, -1.0))
+            src.append(j)
+            sign.append(-1.0)
         else:
             shift[j] = lo
-            col_maps.append((j, 1.0))
+            src.append(j)
+            sign.append(1.0)
             if hi is not None:
-                A = np.vstack([A, np.eye(n_orig)[j]])
-                b = np.append(b, hi)
-                senses.append("<=")
-
+                boxed.append(j)
+    slack = [_SLACK_SIGN[s] for s in lp.senses]
+    if boxed:  # finite upper bounds of lower-bounded variables become <= rows
+        A = np.vstack([A, np.eye(c.size)[boxed]])
+        b = np.concatenate([b, [lp.bounds[j][1] for j in boxed]])
+        slack += [1.0] * len(boxed)
     b = b - A @ shift
-    for j, s in col_maps:
-        cols.append(s * A[:, j])
-        std_cost.append(s * c[j])
-    A_std = np.column_stack(cols) if cols else np.zeros((A.shape[0], 0))
 
-    # slacks/surpluses turn inequalities into equalities
-    extra = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            e = np.zeros(len(senses))
-            e[i] = 1.0
-            extra.append(e)
-        elif s == ">=":
-            e = np.zeros(len(senses))
-            e[i] = -1.0
-            extra.append(e)
-    if extra:
-        A_std = np.hstack([A_std, np.column_stack(extra)])
-        std_cost = std_cost + [0.0] * len(extra)
+    # T = [A_std | slacks | b]: slack +1 for a <= row, surplus -1 for >=
+    src, sign, slack = np.array(src, dtype=int), np.array(sign), np.array(slack)
+    ineq = np.nonzero(slack)[0]
+    n_std = src.size
+    T = np.zeros((A.shape[0], n_std + ineq.size + 1))
+    np.multiply(A[:, src], sign, out=T[:, :n_std])
+    T[ineq, n_std + np.arange(ineq.size)] = slack[ineq]
+    T[:, -1] = b
+    std_cost = np.zeros(n_std + ineq.size)
+    std_cost[:n_std] = sign * c[src]
 
-    x_std, basis, status = _solve_standard(A_std, b, np.asarray(std_cost), tol)
+    x_std, basis, status = _solve_standard(T, std_cost, tol)
     x = shift.copy()
-    for k, (j, s) in enumerate(col_maps):
-        x[j] += s * x_std[k]
+    np.add.at(x, src, sign * x_std[:n_std])
     if status != OPTIMAL:
         return VertexSolution(x=x, objective_value=math.nan,
-                              basis=tuple(int(v) for v in basis), status=status)
+                              basis=tuple(basis.tolist()), status=status)
     value = float(np.asarray(lp.objective, dtype=float) @ x)
     return VertexSolution(x=x, objective_value=value,
-                          basis=tuple(int(v) for v in basis), status=OPTIMAL)
+                          basis=tuple(basis.tolist()), status=OPTIMAL)
 
 
 def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9,
@@ -263,15 +263,17 @@ def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9,
     if y.size != m:
         raise DomainError("y length must match the number of rows of L")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    A = np.hstack([L, -L])
-    cost = np.concatenate([w, w])
-    x_std, basis, status = _solve_standard(A, y, cost, tol)
+    T = np.empty((m, 2 * n + 1))
+    T[:, :n] = L
+    np.negative(L, out=T[:, n:2 * n])
+    T[:, -1] = y
+    x_std, basis, status = _solve_standard(T, np.concatenate([w, w]), tol)
     alpha = x_std[:n] - x_std[n:]
     if status != OPTIMAL:
         return VertexSolution(x=alpha, objective_value=math.nan,
-                              basis=tuple(int(v) for v in basis), status=status)
+                              basis=tuple(basis.tolist()), status=status)
     return VertexSolution(x=alpha, objective_value=float(np.sum(np.abs(alpha))),
-                          basis=tuple(int(v) for v in basis), status=OPTIMAL)
+                          basis=tuple(basis.tolist()), status=OPTIMAL)
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

@@ -304,7 +304,8 @@ def mni_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> Spars
 
     The returned atoms (k_j, alpha_j) satisfy sum_j |alpha_j| = dual value,
     the atom count is bounded by the rank of the truncation matrix, and
-    the interpolation residual is at most tol * (1 + ||y||_inf).
+    the interpolation residual is at most tol * (1 + ||y||_inf).  The
+    solution carries the DualCertificate it was built from.
     """
     cert = dual_solve_l1(problem, minimal_attainment=minimal_attainment)
     tol = problem.options.tol
@@ -322,7 +323,8 @@ def mni_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> Spars
         alpha[site_pos[site]] = coeff
     residual = float(np.max(np.abs(V.array @ alpha - y)))
     norm = float(np.sum(np.abs(alpha)))
-    return make_solution(atoms, norm, residual, V.rank, cert.value, problem.n, tol)
+    return make_solution(atoms, norm, residual, V.rank, cert.value, problem.n, tol,
+                         certificate=cert)
 
 
 def linf_subdiff_extreme_points(v: SequenceFunctional, upto: int,

@@ -253,6 +253,22 @@ def test_oracle_verify_lp_p2(tmp_path):
     assert json.loads(text)["max_coordinate_gap"] <= 1e-6
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle-verify"])
+def test_l1_request_solves_its_dual_once(tmp_path, monkeypatch, command):
+    from rkbs_sparse import sequence
+    calls = []
+    solve = sequence.dual_solve_l1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sequence, "dual_solve_l1", counted)
+    code, _ = _run(tmp_path, [command], WORKED_DOC)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_demo_passes(capsys):
     assert cli.run_demo() == 0
     out = capsys.readouterr().out

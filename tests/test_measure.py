@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +239,32 @@ def test_mni_measure_strong_duality_batch():
         assert abs(sol.tv_norm - sol.certificate.value) <= 1e-6
         assert len(sol.atoms) <= sol.rank_bound <= p.n
         assert sol.residual <= 1e-6 * (1.0 + float(np.max(np.abs(y))))
+
+
+_DENSIFY_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import rkbs_sparse as rk
+from rkbs_sparse.core import ConvergenceError
+problem = rk.gauss_problem([0.214, 4.176], 1.0, [-0.859, 0.357])
+try:
+    rk.mni_solve_measure(problem)
+    print("certified")
+except ConvergenceError as exc:
+    print("ConvergenceError", exc.residual)
+"""
+
+
+def test_exchange_densify_is_bounded():
+    # the exchange LP leaves a violation at a point already in the working
+    # set, so only densifying the scan grid is left; it must stop at a
+    # bounded grid with a typed error instead of exhausting memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _DENSIFY_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    verdict = done.stdout.split()
+    assert verdict[0] in ("certified", "ConvergenceError")
+    if verdict[0] == "ConvergenceError":
+        assert 0.0 < float(verdict[1]) < 1e-3

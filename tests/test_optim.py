@@ -6,7 +6,7 @@ import pytest
 
 import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError
-from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, basis_pursuit,
+from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, _crash_basis, basis_pursuit,
                                lasso_residual, linear_program, lp_solve,
                                prox_l1_solve)
 
@@ -91,6 +91,74 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
             continue
         assert sol.objective_value == pytest.approx(expected, abs=1e-9)
         checked += 1
+
+
+def _random_bounds(rng, n):
+    """One (lower, upper) pair per variable: free, lower-only, upper-only or boxed."""
+    out = []
+    for kind in rng.integers(0, 4, n):
+        lo = float(np.round(rng.uniform(-2, 0.5), 2))
+        hi = lo + float(np.round(rng.uniform(0.5, 3), 2))
+        out.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
+    return out
+
+
+def test_lp_reductions_match_highs_on_random_instances():
+    # every reduction lp_solve makes: free splits, shifted lower bounds,
+    # mirrored upper bounds, box rows, <= / >= / == rows with right-hand
+    # sides of either sign (row flips, surplus columns), min and max
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(20240607)
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: "unbounded"}
+    seen = set()
+    for _ in range(300):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        A = np.round(rng.uniform(-2, 2, (m, n)), 2)
+        b = np.round(rng.uniform(-2, 2, m), 2)
+        c = np.round(rng.uniform(-1, 1, n), 2)
+        senses = [["<=", ">=", "=="][k] for k in rng.integers(0, 3, m)]
+        bounds = _random_bounds(rng, n)
+        maximize = bool(rng.integers(0, 2))
+        sol = lp_solve(linear_program(c, A, b, senses, bounds, maximize=maximize))
+
+        le = [i for i, s in enumerate(senses) if s == "<="]
+        ge = [i for i, s in enumerate(senses) if s == ">="]
+        eq = [i for i, s in enumerate(senses) if s == "=="]
+        A_ub = np.vstack([A[le], -A[ge]])
+        b_ub = np.concatenate([b[le], -b[ge]])
+        ref = linprog(-c if maximize else c, A_ub=A_ub if A_ub.size else None,
+                      b_ub=b_ub if A_ub.size else None, A_eq=A[eq] if eq else None,
+                      b_eq=b[eq] if eq else None, bounds=bounds, method="highs")
+        assert sol.status == statuses[ref.status]
+        seen.add(sol.status)
+        if sol.status != OPTIMAL:
+            continue
+        assert sol.objective_value == pytest.approx(-ref.fun if maximize else ref.fun,
+                                                    abs=1e-9)
+        x, Ax = sol.x, A @ sol.x
+        feas = 1e-9 * (1.0 + np.abs(b))
+        assert np.all(Ax[le] <= b[le] + feas[le])
+        assert np.all(Ax[ge] >= b[ge] - feas[ge])
+        assert np.all(np.abs(Ax[eq] - b[eq]) <= feas[eq])
+        for xj, (lo, hi) in zip(x, bounds):
+            assert lo is None or xj >= lo - 1e-9
+            assert hi is None or xj <= hi + 1e-9
+    assert seen == {OPTIMAL, INFEASIBLE, "unbounded"}
+
+
+def test_crash_basis_matches_column_loop():
+    # reference: scan the columns in order; a column with a single nonzero,
+    # equal to +1, claims its row if no earlier column has
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(0, 9))
+        A = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0], size=(m, n))
+        expected = np.full(m, -1)
+        for j in range(n):
+            nz = np.nonzero(A[:, j])[0]
+            if nz.size == 1 and expected[nz[0]] == -1 and A[nz[0], j] == 1.0:
+                expected[nz[0]] = j
+        assert _crash_basis(A).tolist() == expected.tolist()
 
 
 def test_basis_pursuit_worked_example_matrix():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,13 @@ def test_mni_worked_example(worked_example):
     assert coeff == pytest.approx(1.0, abs=1e-9)
     assert sol.norm == pytest.approx(1.0, abs=1e-9)
     assert len(sol.atoms) <= sol.rank_bound <= 2
+
+
+def test_mni_carries_its_dual_certificate(worked_example):
+    sol = mni_solve_l1(worked_example)
+    assert sol.certificate == dual_solve_l1(worked_example)
+    assert "certificate" not in repr(sol)
+    assert sol == dataclasses.replace(sol, certificate=None)
 
 
 def test_mni_worked_example_under_pinned_dual_selections(worked_example):
