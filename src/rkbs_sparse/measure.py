@@ -5,7 +5,12 @@ kernel sessions.  The dual of minimum total-variation interpolation
 maximizes c.y subject to ||g||_inf <= 1, a semi-infinite constraint
 handled by an exchange method: solve the LP on a finite working set,
 locate the worst constraint violation over the whole domain, add it, and
-repeat until the violation is below the attainment tolerance.
+repeat until the violation is below the attainment tolerance.  The
+finite LP is solved through its primal, min ||alpha||_1 subject to
+sum_j alpha_j K(., t_j) = y over the working points: n rows, a feasible
+start from the center columns, and the dual c as its simplex
+multipliers.  A new working point only adds a column, so each round
+warm-starts from the previous optimal basis (column generation).
 
 Borderline center separations (around twice the bandwidth) produce
 critical points of g where the second derivative also vanishes, so the
@@ -27,7 +32,7 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    prune_atoms)
-from .optim import OPTIMAL, UNBOUNDED, basis_pursuit, linear_program, lp_solve
+from .optim import OPTIMAL, basis_pursuit, l1_column_simplex
 
 _DERIV_TOL = 1e-10
 _FLAT_EPS = 1e-12
@@ -308,13 +313,18 @@ def _certificate(problem: GaussProblem, c: np.ndarray, iters: int,
 def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     """Exchange method for sup { c.y : ||sum_j c_j K(x_j, .)||_inf <= 1 }.
 
-    The working set starts with the centers plus uniform domain knots;
-    each round solves the finite LP, locates the worst violation of the
-    sup-norm constraint by grid scan plus Newton refinement, and adds the
-    violating points.  Terminates when the violation is at most
-    ``attain_tol``; hitting ``max_exchange_iters``, or a stall that would
-    need a scan grid of more than ``_MAX_SCAN_POINTS`` points, raises
-    ConvergenceError with the last violation.
+    The working set starts with the centers plus uniform domain knots.
+    Each round solves the finite problem through its primal,
+    min ||alpha||_1 s.t. sum_j alpha_j K(., t_j) = y over the working
+    points t_j, whose simplex multipliers are the dual c
+    (``optim.l1_column_simplex``).  It then locates the worst violation of
+    the sup-norm constraint by grid scan plus Newton refinement and adds
+    the violating points.  A new point only adds a column, so the previous
+    optimal basis stays feasible and warm-starts the next round; the first
+    round starts from the n center columns.  Terminates when the violation
+    is at most ``attain_tol``; hitting ``max_exchange_iters``, or a stall
+    that would need a scan grid of more than ``_MAX_SCAN_POINTS`` points,
+    raises ConvergenceError with the last violation.
     """
     y = problem.y_vector()
     if float(np.max(np.abs(y))) == 0.0:
@@ -322,23 +332,16 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     lo, hi = problem.domain
     step = problem.grid_step()
     working = sorted(set(np.linspace(lo, hi, 33)) | set(problem.centers))
-    n = problem.n
+    basic, signs = list(problem.centers), None
     violation = math.inf
 
     for it in range(1, problem.options.max_exchange_iters + 1):
-        rows = _kernel(problem, np.asarray(working))
-        A = np.vstack([rows, -rows])
-        b = np.ones(2 * len(working))
-        lp = linear_program(y, A, b, ["<="] * b.size, [(None, None)] * n,
-                            maximize=True)
-        sol = lp_solve(lp, problem.options.tol)
-        if sol.status == UNBOUNDED:
-            extra = np.linspace(lo, hi, 2 * len(working))
-            working = sorted(set(working) | set(extra))
-            continue
-        if sol.status != OPTIMAL:
-            raise ConvergenceError(f"exchange LP failed with status {sol.status}")
-        c = sol.x
+        index = {t: i for i, t in enumerate(working)}
+        lp = l1_column_simplex(_kernel(problem, np.asarray(working)).T, y,
+                               [index[t] for t in basic], signs,
+                               problem.options.tol)
+        basic, signs = [working[j] for j in lp.cols], lp.signs
+        c = lp.dual
         sup, refined = _scan_maxima(c, problem, step, keep_above=1.0)
         cand = [(abs(gauss_eval(c, problem, t)), t) for t in refined]
         cand = [tc for tc in cand if tc[0] > 1.0]

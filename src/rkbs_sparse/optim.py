@@ -2,11 +2,15 @@
 
 A dense two-phase tableau simplex with Bland's anti-cycling rule
 (deterministic, vertex-returning), an exact l1 basis-pursuit solver built
-on it, and a restarted accelerated proximal-gradient solver for the
-square-loss l1-regularized subproblem.  Desk scale throughout: a few
-hundred rows at most.  Each tableau is allocated once and filled by
-vectorized indexing, so assembly costs little next to the pivots; the
-pivot rule is plain Bland, so every LP follows one fixed pivot sequence.
+on it, a revised primal simplex for min ||alpha||_1 s.t. V alpha = y
+started from a given feasible basis of n (column, sign) pairs, and a
+restarted accelerated proximal-gradient solver for the square-loss
+l1-regularized subproblem.  Desk scale throughout: a few hundred rows at
+most.  Each tableau is allocated once and filled by vectorized indexing,
+so assembly costs little next to the pivots; the revised simplex keeps
+no tableau and solves with its n x n basis matrix at every pivot.  Both
+simplices pivot by Bland's rule, so every LP follows one fixed pivot
+sequence.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .core import ConvergenceError, DomainError, matrix_rank
 
 _PIVOT_TOL = 1e-11
+_FEAS_ULPS = 64  # rounding allowance of the column simplex, in ulps of ||x_B||_1
 _SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
 
 OPTIMAL = "optimal"
@@ -274,6 +279,130 @@ def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9,
                               basis=tuple(basis.tolist()), status=status)
     return VertexSolution(x=alpha, objective_value=float(np.sum(np.abs(alpha))),
                           basis=tuple(basis.tolist()), status=OPTIMAL)
+
+
+@dataclass(frozen=True)
+class ColumnBasis:
+    """An optimal basis of min ||alpha||_1 s.t. V alpha = y: n (column, sign) pairs.
+
+    alpha is zero off the basis and alpha[cols] = signs * weights with
+    weights >= 0; ``dual`` holds the simplex multipliers c = B^-T 1, so
+    c.y equals ``value`` = sum(weights) and max_j |V_j . c| <= 1 + tol.
+    """
+
+    cols: np.ndarray
+    signs: np.ndarray
+    weights: np.ndarray
+    dual: np.ndarray
+    value: float
+    pivots: int
+
+
+def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
+                      tol: float = 1e-9,
+                      max_pivots: Optional[int] = None) -> ColumnBasis:
+    """min ||alpha||_1 s.t. V alpha = y by revised primal simplex from a given basis.
+
+    The basis is n (column, sign) pairs whose signed columns B must give
+    x_B = B^-1 y >= 0; with ``signs`` None they are read off
+    sign(V[:, cols]^-1 y), which makes any nonsingular column choice a
+    feasible crash.  Every basis is solved afresh with its n x n matrix
+    (x_B = B^-1 y, c = B^-T 1, g = V^T c, each refined once against a
+    long-double residual), so no tableau is carried and no rounding drift
+    builds up.  The basis is optimal once max|g| <= 1 + tol.
+
+    Pivots follow Bland's rule: the first column with |g_j| > 1 + tol
+    enters with sign(g_j), and ratio-test ties leave by the smallest index
+    2j (+1 for a negative sign).  Rows tie when stepping to their ratio
+    keeps x_B above a rounding-level -feas (Harris' two passes).  On the
+    near-singular bases that clustered working points give, a tiny pivot
+    element can still turn a rounding residue in a degenerate row into a
+    negative weight, so a pivot whose new basis puts min x_B below both
+    -tol (1 + ||y||_inf) / 10 and the old min x_B is undone and the next
+    violating column tried.
+
+    Raises ConvergenceError carrying max|g| - 1 once ``max_pivots``
+    (default 20 (n + columns)) pivot attempts are spent or no violating
+    column admits a pivot, and carrying the primal residual if the
+    returned basis fails its recheck ||B x_B - y||_inf <= tol (1 + ||y||_inf),
+    min x_B >= -that.
+    """
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n, ncols = V.shape
+    cols = np.array(cols, dtype=int)
+    if y.size != n or cols.shape != (n,):
+        raise DomainError("need one basic column per row of V")
+    if signs is None:
+        signs = np.where(_basis_solve(V[:, cols], y) < 0.0, -1.0, 1.0)
+    signs = np.array(signs, dtype=float)
+    if max_pivots is None:
+        max_pivots = 20 * (n + ncols)
+    scale = 1.0 + float(np.max(np.abs(y)))
+    ones = np.ones(n)
+
+    B = V[:, cols] * signs
+    x = _basis_solve(B, y)
+    c = _basis_solve(B.T, ones)
+    g = c @ V
+    untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis
+    pivots = attempts = 0
+    while True:
+        entering = np.flatnonzero((np.abs(g) > 1.0 + tol) & untried)
+        if entering.size == 0 or attempts == max_pivots:
+            break
+        attempts += 1
+        j = int(entering[0])
+        untried[j] = False
+        s = 1.0 if g[j] > 0 else -1.0
+        d = _basis_solve(B, s * V[:, j])
+        rows = np.flatnonzero(d > _PIVOT_TOL)
+        if rows.size == 0:  # a descent direction below 0 is rounding
+            continue
+        feas = _FEAS_ULPS * np.finfo(float).eps * (1.0 + float(np.sum(np.abs(x))))
+        limit = max(float(np.min((x[rows] + feas) / d[rows])), 0.0)
+        tied = rows[np.maximum(x[rows], 0.0) / d[rows] <= limit]
+        r = int(tied[np.argmin(2 * cols[tied] + (signs[tied] < 0))])
+        new_cols, new_signs = cols.copy(), signs.copy()
+        new_cols[r], new_signs[r] = j, s
+        new_B = V[:, new_cols] * new_signs
+        new_x = _basis_solve(new_B, y)
+        if float(np.min(new_x)) < min(float(np.min(x)), -0.1 * tol * scale) - feas:
+            continue
+        cols, signs, B, x = new_cols, new_signs, new_B, new_x
+        c = _basis_solve(B.T, ones)
+        g = c @ V
+        untried[:] = True
+        pivots += 1
+
+    dual_residual = float(np.max(np.abs(g))) - 1.0
+    if dual_residual > tol:
+        why = (f"exceeded {max_pivots} pivot attempts" if attempts == max_pivots
+               else "found no pivot that keeps x_B >= 0")
+        raise ConvergenceError(f"column simplex {why} (max |V^T c| - 1 = "
+                               f"{dual_residual:.3e})", residual=dual_residual)
+    residual = max(float(np.max(np.abs(B @ x - y))), float(-np.min(x)))
+    if residual > tol * scale:
+        raise ConvergenceError(
+            f"column simplex basis misses V alpha = y, alpha >= 0 by "
+            f"{residual:.3e}", residual=residual)
+    return ColumnBasis(cols=cols, signs=signs, weights=x, dual=c,
+                       value=float(np.sum(x)), pivots=pivots)
+
+
+def _basis_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs, refined once against a residual taken in long double.
+
+    Bases of nearby kernel columns reach condition numbers near 1e10,
+    where a plain solve leaves x_B wrong from its seventh digit; the
+    refinement recovers it to about double rounding while cond(B) eps < 1.
+    """
+    try:
+        x = np.linalg.solve(B, rhs)
+        residual = rhs - B.astype(np.longdouble) @ x
+        return x + np.linalg.solve(B, residual.astype(float))
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("column simplex basis is singular") from None
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

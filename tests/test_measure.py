@@ -256,9 +256,10 @@ except ConvergenceError as exc:
 
 
 def test_exchange_densify_is_bounded():
-    # the exchange LP leaves a violation at a point already in the working
-    # set, so only densifying the scan grid is left; it must stop at a
-    # bounded grid with a typed error instead of exhausting memory
+    # an instance whose tableau-solved exchange LPs left a violation at a
+    # point already in the working set, so only densifying the scan grid
+    # was left; it must end certified or in a typed error, within the
+    # memory and time bounds (the cap itself: the stalled-scan test below)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rk.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", _DENSIFY_CHILD], env=env,
@@ -268,3 +269,53 @@ def test_exchange_densify_is_bounded():
     assert verdict[0] in ("certified", "ConvergenceError")
     if verdict[0] == "ConvergenceError":
         assert 0.0 < float(verdict[1]) < 1e-3
+
+
+def test_exchange_densify_stops_at_the_scan_cap(monkeypatch):
+    # a stall: every scan reports a violation between grid knots but no new
+    # point, so only densifying is left, up to _MAX_SCAN_POINTS and no further
+    import rkbs_sparse.measure as measure_mod
+    p = rk.gauss_problem([-2.0, 2.0], 1.0, [1.0, 1.0])
+    lo, hi = p.domain
+    steps = []
+
+    def stalled(c, problem, step, keep_above):
+        steps.append(step)
+        return 1.0 + 1e-3, []
+
+    monkeypatch.setattr(measure_mod, "_scan_maxima", stalled)
+    with pytest.raises(rk.ConvergenceError) as err:
+        measure_mod.dual_solve_semiinfinite(p)
+    assert err.value.residual == pytest.approx(1e-3)
+    assert len(steps) < p.options.max_exchange_iters
+    assert max((hi - lo) / s + 1.0 for s in steps) <= measure_mod._MAX_SCAN_POINTS
+    assert (hi - lo) / (steps[-1] / 2.0) + 1.0 > measure_mod._MAX_SCAN_POINTS
+
+
+_FAMILY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+import rkbs_sparse as rk
+index = int(sys.argv[1])
+rng = np.random.default_rng([20240607, index])
+n = (8, 12, 16)[index % 3]
+centers = np.sort(np.linspace(-8.0, 8.0, n) + rng.uniform(-0.1, 0.1, n))
+y = rng.uniform(-1.0, 1.0, n)
+problem = rk.gauss_problem(centers, 1.0, y)
+sol = rk.mni_solve_measure(problem)
+print(rk.grid_supremum(sol.certificate.coefficients, problem, 1e-3).value)
+"""
+
+
+@pytest.mark.parametrize("index", [66, 344, 431])
+def test_exchange_certifies_jittered_linspace_entries(index):
+    # entries of the jittered-linspace family (centers linspace(-8, 8, n)
+    # plus U(+-0.1), y ~ U(-1, 1)) whose cold-started dual LPs once ended in
+    # a stalled exchange or ran for minutes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FAMILY_CHILD, str(index)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert float(done.stdout.split()[-1]) <= 1.0 + 2e-7

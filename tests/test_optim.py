@@ -7,8 +7,8 @@ import pytest
 import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError
 from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, _crash_basis, basis_pursuit,
-                               lasso_residual, linear_program, lp_solve,
-                               prox_l1_solve)
+                               l1_column_simplex, lasso_residual, linear_program,
+                               lp_solve, prox_l1_solve)
 
 
 def test_lp_single_box_variable():
@@ -159,6 +159,113 @@ def test_crash_basis_matches_column_loop():
             if nz.size == 1 and expected[nz[0]] == -1 and A[nz[0], j] == 1.0:
                 expected[nz[0]] = j
         assert _crash_basis(A).tolist() == expected.tolist()
+
+
+def _gauss_working_set(rng):
+    """Kernel columns K(centers, t) over centers plus random points, and data y."""
+    n = int(rng.integers(1, 9))
+    centers = np.sort(rng.uniform(-6.0, 6.0, n))
+    while n > 1 and np.min(np.diff(centers)) < 0.4:
+        centers = np.sort(rng.uniform(-6.0, 6.0, n))
+    points = np.concatenate([centers, rng.uniform(-9.0, 9.0, int(rng.integers(0, 40)))])
+    V = np.exp(-0.5 * (centers[:, None] - points[None, :]) ** 2)
+    return V, rng.uniform(-1.0, 1.0, n)
+
+
+def _highs_l1(V, y):
+    from scipy.optimize import linprog
+    W = V.shape[1]
+    ref = linprog(np.ones(2 * W), A_eq=np.hstack([V, -V]), b_eq=y,
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_l1_column_simplex_matches_highs_on_gaussian_working_sets():
+    rng = np.random.default_rng(42)
+    tol = 1e-9
+    for _ in range(60):
+        V, y = _gauss_working_set(rng)
+        n = y.size
+        sol = l1_column_simplex(V, y, np.arange(n), tol=tol)  # crash from the centers
+        best = _highs_l1(V, y)
+        assert sol.value == pytest.approx(best, rel=1e-9)
+        assert float(sol.dual @ y) == pytest.approx(sol.value, rel=1e-9)
+        assert float(np.max(np.abs(sol.dual @ V))) <= 1.0 + tol
+        alpha = np.zeros(V.shape[1])
+        alpha[sol.cols] = sol.signs * sol.weights
+        assert np.all(sol.weights >= -tol)
+        assert np.max(np.abs(V @ alpha - y)) <= tol * (1.0 + np.max(np.abs(y)))
+
+
+def test_l1_column_simplex_warm_start_from_stale_basis():
+    # the optimal basis over a subset of the columns stays feasible when
+    # columns are added, and warm-starts to the cold-start optimum
+    rng = np.random.default_rng(7)
+    warm_pivots = cold_pivots = 0
+    for _ in range(30):
+        V, y = _gauss_working_set(rng)
+        n = y.size
+        half = n + (V.shape[1] - n) // 2
+        stale = l1_column_simplex(V[:, :half], y, np.arange(n))
+        warm = l1_column_simplex(V, y, stale.cols, stale.signs)
+        cold = l1_column_simplex(V, y, np.arange(n))
+        assert warm.value == pytest.approx(cold.value, rel=1e-9)
+        assert warm.value == pytest.approx(_highs_l1(V, y), rel=1e-9)
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+    assert warm_pivots < cold_pivots
+
+
+def test_l1_column_simplex_certifies_degenerate_clustered_working_sets():
+    # y from a few atoms, and working points clustered within 1e-6..1e-2 of
+    # them: degenerate LPs whose bases reach condition numbers near 1e10,
+    # as in the exchange rounds of regularization support updates.  Each
+    # result is checked by its own certificate: HiGHS only agrees to its
+    # feasibility tolerance here.
+    rng = np.random.default_rng(0)
+    tol = 1e-9
+    for _ in range(60):
+        n = int(rng.integers(6, 17))
+        centers = np.sort(np.linspace(-8.0, 8.0, n) + rng.uniform(-0.1, 0.1, n))
+        k = int(rng.integers(2, n // 2 + 1))
+        sites = rng.uniform(-9.0, 9.0, k)
+        y = np.exp(-0.5 * (centers[:, None] - sites) ** 2) @ rng.uniform(-1.0, 1.0, k)
+        offsets = rng.choice([-1.0, 1.0], (k, 6)) * 10.0 ** rng.uniform(-6.0, -2.0, (k, 6))
+        points = np.concatenate([centers, np.linspace(centers[0] - 5.0, centers[-1] + 5.0, 33),
+                                 (sites[:, None] + offsets).ravel()])
+        V = np.exp(-0.5 * (centers[:, None] - points) ** 2)
+        sol = l1_column_simplex(V, y, np.arange(n), tol=tol)
+        scale = 1.0 + float(np.max(np.abs(y)))
+        alpha = np.zeros(V.shape[1])
+        alpha[sol.cols] = sol.signs * sol.weights
+        assert float(np.max(np.abs(sol.dual @ V))) <= 1.0 + tol
+        assert float(sol.dual @ y) == pytest.approx(sol.value, rel=1e-12)
+        assert float(np.min(sol.weights)) >= -tol * scale
+        assert float(np.max(np.abs(V @ alpha - y))) <= tol * scale
+        assert sol.value == pytest.approx(_highs_l1(V, y), rel=1e-6)
+
+
+def test_l1_column_simplex_pivot_cap_raises_with_residual():
+    rng = np.random.default_rng(1)
+    V, y = _gauss_working_set(rng)
+    while l1_column_simplex(V, y, np.arange(y.size)).pivots == 0:
+        V, y = _gauss_working_set(rng)
+    n = y.size
+    signs = np.where(np.linalg.solve(V[:, :n], y) < 0, -1.0, 1.0)
+    crash_dual = np.linalg.solve((V[:, :n] * signs).T, np.ones(n))
+    with pytest.raises(ConvergenceError) as err:
+        l1_column_simplex(V, y, np.arange(n), max_pivots=0)
+    assert err.value.residual == pytest.approx(
+        float(np.max(np.abs(crash_dual @ V))) - 1.0, rel=1e-12)
+    assert err.value.residual > 0
+
+
+def test_l1_column_simplex_rejects_an_infeasible_basis():
+    # dual feasible from the start, so no pivot runs; x_B = -1 < 0 fails the recheck
+    with pytest.raises(ConvergenceError) as err:
+        l1_column_simplex(np.array([[1.0]]), np.array([1.0]), [0], [-1.0])
+    assert err.value.residual == pytest.approx(1.0)
 
 
 def test_basis_pursuit_worked_example_matrix():
