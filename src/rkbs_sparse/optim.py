@@ -25,6 +25,8 @@ from .core import ConvergenceError, DomainError, matrix_rank
 
 _PIVOT_TOL = 1e-11
 _FEAS_ULPS = 64  # rounding allowance of the column simplex, in ulps of ||x_B||_1
+_PIVOTS_PER_COLUMN = 20  # column simplex attempts per row and column
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 _SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
 
 OPTIMAL = "optimal"
@@ -287,29 +289,26 @@ class ColumnBasis:
 
     alpha is zero off the basis and alpha[cols] = signs * weights with
     weights >= 0; ``dual`` holds the simplex multipliers c = B^-T 1, so
-    c.y equals ``value`` = sum(weights) and max_j |V_j . c| <= 1 + tol.
+    c.y equals the optimum sum(weights) and max_j |V_j . c| <= 1 + tol.
     """
 
     cols: np.ndarray
     signs: np.ndarray
     weights: np.ndarray
     dual: np.ndarray
-    value: float
-    pivots: int
 
 
 def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
-                      tol: float = 1e-9,
-                      max_pivots: Optional[int] = None) -> ColumnBasis:
+                      tol: float = 1e-9) -> ColumnBasis:
     """min ||alpha||_1 s.t. V alpha = y by revised primal simplex from a given basis.
 
     The basis is n (column, sign) pairs whose signed columns B must give
     x_B = B^-1 y >= 0; with ``signs`` None they are read off
     sign(V[:, cols]^-1 y), which makes any nonsingular column choice a
     feasible crash.  Every basis is solved afresh with its n x n matrix
-    (x_B = B^-1 y, c = B^-T 1, g = V^T c, each refined once against a
-    long-double residual), so no tableau is carried and no rounding drift
-    builds up.  The basis is optimal once max|g| <= 1 + tol.
+    (x_B = B^-1 y, c = B^-T 1, g = V^T c, each refined once against an
+    exactly rounded residual), so no tableau is carried and no rounding
+    drift builds up.  The basis is optimal once max|g| <= 1 + tol.
 
     Pivots follow Bland's rule: the first column with |g_j| > 1 + tol
     enters with sign(g_j), and ratio-test ties leave by the smallest index
@@ -321,11 +320,11 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     -tol (1 + ||y||_inf) / 10 and the old min x_B is undone and the next
     violating column tried.
 
-    Raises ConvergenceError carrying max|g| - 1 once ``max_pivots``
-    (default 20 (n + columns)) pivot attempts are spent or no violating
-    column admits a pivot, and carrying the primal residual if the
-    returned basis fails its recheck ||B x_B - y||_inf <= tol (1 + ||y||_inf),
-    min x_B >= -that.
+    Raises ConvergenceError carrying max|g| - 1 once
+    ``_PIVOTS_PER_COLUMN`` (n + columns) pivot attempts are spent or no
+    violating column admits a pivot, and carrying the primal residual if
+    the returned basis fails its recheck
+    ||B x_B - y||_inf <= tol (1 + ||y||_inf), min x_B >= -that.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -336,8 +335,7 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     if signs is None:
         signs = np.where(_basis_solve(V[:, cols], y) < 0.0, -1.0, 1.0)
     signs = np.array(signs, dtype=float)
-    if max_pivots is None:
-        max_pivots = 20 * (n + ncols)
+    max_attempts = _PIVOTS_PER_COLUMN * (n + ncols)
     scale = 1.0 + float(np.max(np.abs(y)))
     ones = np.ones(n)
 
@@ -346,10 +344,10 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     c = _basis_solve(B.T, ones)
     g = c @ V
     untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis
-    pivots = attempts = 0
+    attempts = 0
     while True:
         entering = np.flatnonzero((np.abs(g) > 1.0 + tol) & untried)
-        if entering.size == 0 or attempts == max_pivots:
+        if entering.size == 0 or attempts == max_attempts:
             break
         attempts += 1
         j = int(entering[0])
@@ -373,11 +371,11 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
         c = _basis_solve(B.T, ones)
         g = c @ V
         untried[:] = True
-        pivots += 1
 
     dual_residual = float(np.max(np.abs(g))) - 1.0
     if dual_residual > tol:
-        why = (f"exceeded {max_pivots} pivot attempts" if attempts == max_pivots
+        why = (f"exceeded {max_attempts} pivot attempts"
+               if attempts == max_attempts
                else "found no pivot that keeps x_B >= 0")
         raise ConvergenceError(f"column simplex {why} (max |V^T c| - 1 = "
                                f"{dual_residual:.3e})", residual=dual_residual)
@@ -386,12 +384,11 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
         raise ConvergenceError(
             f"column simplex basis misses V alpha = y, alpha >= 0 by "
             f"{residual:.3e}", residual=residual)
-    return ColumnBasis(cols=cols, signs=signs, weights=x, dual=c,
-                       value=float(np.sum(x)), pivots=pivots)
+    return ColumnBasis(cols=cols, signs=signs, weights=x, dual=c)
 
 
 def _basis_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """B^-1 rhs, refined once against a residual taken in long double.
+    """B^-1 rhs, refined once against the exactly rounded residual.
 
     Bases of nearby kernel columns reach condition numbers near 1e10,
     where a plain solve leaves x_B wrong from its seventh digit; the
@@ -399,10 +396,31 @@ def _basis_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     try:
         x = np.linalg.solve(B, rhs)
-        residual = rhs - B.astype(np.longdouble) @ x
-        return x + np.linalg.solve(B, residual.astype(float))
+        return x + np.linalg.solve(B, _exact_residual(B, x, rhs))
     except np.linalg.LinAlgError:
         raise ConvergenceError("column simplex basis is singular") from None
+
+
+def _exact_residual(B: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - B x rounded once per entry, in float64 on any platform.
+
+    Each product B_ij x_j is carried as its double p and its exact
+    rounding error (Dekker's product over Veltkamp splits), and each row
+    of p + error - rhs_i is summed exactly by math.fsum.
+    """
+    p = B * x
+    B_hi, B_lo = _split(B)
+    x_hi, x_lo = _split(x)
+    err = B_lo * x_lo - (((p - B_hi * x_hi) - B_lo * x_hi) - B_hi * x_lo)
+    terms = np.concatenate((p, err, -rhs[:, None]), axis=1).tolist()
+    return -np.array([math.fsum(row) for row in terms])
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

@@ -247,28 +247,37 @@ def _reg_solve_gauss(problem: GaussProblem, lam: float) -> SparseSolution:
     cert = _measure.dual_solve_semiinfinite(problem)
     sites = list(cert.attain_points)
     prev_fit: Optional[np.ndarray] = None
+    rounds = []  # (support, objective, V, alpha) of each round
     for _ in range(_SUPPORT_ROUNDS):
         V = _measure.kernel_matrix(problem, sites, opts.tol)
         alpha = prox_l1_solve(V.array, y, lam, tol=opts.tol)
         fitted = V.array @ alpha
         if float(np.sum(np.abs(alpha))) == 0.0:
             return _zero_solution(y, problem.n, opts.tol)
+        misfit = fitted - y
+        rounds.append((tuple(sites), 0.5 * float(misfit @ misfit)
+                       + lam * float(np.sum(np.abs(alpha))), V, alpha))
         if prev_fit is not None and (
                 float(np.max(np.abs(fitted - prev_fit)))
                 <= opts.tol * (1.0 + float(np.max(np.abs(y))))):
-            sol = _vertexify(V.array, V.labels, alpha, y, lam, opts.tol,
-                             opts.attain_tol, problem.n)
-            return _polish_gauss_solution(problem, sol, lam)
+            return _polish_gauss_solution(problem, V, alpha, lam)
         prev_fit = fitted
         sub = dataclasses.replace(problem, y=tuple(float(v) for v in fitted))
         sites = list(_measure.dual_solve_semiinfinite(sub).attain_points)
+        # the rounds are deterministic, so a support met before the last
+        # round starts a cycle: settle on the round with the least objective
+        if tuple(sites) in [r[0] for r in rounds[:-1]]:
+            _, _, V, alpha = min(rounds, key=lambda r: r[1])
+            return _polish_gauss_solution(problem, V, alpha, lam)
     raise ConvergenceError(
         f"support fixed point not reached in {_SUPPORT_ROUNDS} rounds "
         f"(last support {sites})")
 
 
-def _polish_gauss_solution(problem: GaussProblem, sol: SparseSolution,
-                           lam: float) -> SparseSolution:
+def _polish_gauss_solution(problem: GaussProblem, V: KernelMatrix,
+                           alpha: np.ndarray, lam: float) -> SparseSolution:
+    sol = _vertexify(V.array, V.labels, alpha, problem.y_vector(), lam,
+                     problem.options.tol, problem.options.attain_tol, problem.n)
     if not sol.atoms:
         return sol
     polished = _polish_reg_atoms(problem, np.array(sol.sites()),
@@ -297,7 +306,8 @@ def reg_solve(problem: RegProblem) -> SparseSolution:
     Sequence problems solve one proximal subproblem on a certified
     truncation range (the tail bound proves the off-range optimality
     inequalities); Gaussian problems iterate the attainment-set machinery
-    to a support fixed point.  Outputs pass ``lambda_certificate``.
+    to a support fixed point, or, when the supports cycle, settle on the
+    round with the least objective.  Outputs pass ``lambda_certificate``.
     """
     if isinstance(problem.base, SeqProblem):
         return _reg_solve_seq(problem.base, problem.lam)

@@ -6,9 +6,10 @@ import pytest
 
 import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError
-from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, _crash_basis, basis_pursuit,
-                               l1_column_simplex, lasso_residual, linear_program,
-                               lp_solve, prox_l1_solve)
+import rkbs_sparse.optim as optim_mod
+from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, _crash_basis, _exact_residual,
+                               basis_pursuit, l1_column_simplex, lasso_residual,
+                               linear_program, lp_solve, prox_l1_solve)
 
 
 def test_lp_single_box_variable():
@@ -188,9 +189,9 @@ def test_l1_column_simplex_matches_highs_on_gaussian_working_sets():
         V, y = _gauss_working_set(rng)
         n = y.size
         sol = l1_column_simplex(V, y, np.arange(n), tol=tol)  # crash from the centers
-        best = _highs_l1(V, y)
-        assert sol.value == pytest.approx(best, rel=1e-9)
-        assert float(sol.dual @ y) == pytest.approx(sol.value, rel=1e-9)
+        value = float(np.sum(sol.weights))
+        assert value == pytest.approx(_highs_l1(V, y), rel=1e-9)
+        assert float(sol.dual @ y) == pytest.approx(value, rel=1e-9)
         assert float(np.max(np.abs(sol.dual @ V))) <= 1.0 + tol
         alpha = np.zeros(V.shape[1])
         alpha[sol.cols] = sol.signs * sol.weights
@@ -202,7 +203,6 @@ def test_l1_column_simplex_warm_start_from_stale_basis():
     # the optimal basis over a subset of the columns stays feasible when
     # columns are added, and warm-starts to the cold-start optimum
     rng = np.random.default_rng(7)
-    warm_pivots = cold_pivots = 0
     for _ in range(30):
         V, y = _gauss_working_set(rng)
         n = y.size
@@ -210,11 +210,10 @@ def test_l1_column_simplex_warm_start_from_stale_basis():
         stale = l1_column_simplex(V[:, :half], y, np.arange(n))
         warm = l1_column_simplex(V, y, stale.cols, stale.signs)
         cold = l1_column_simplex(V, y, np.arange(n))
-        assert warm.value == pytest.approx(cold.value, rel=1e-9)
-        assert warm.value == pytest.approx(_highs_l1(V, y), rel=1e-9)
-        warm_pivots += warm.pivots
-        cold_pivots += cold.pivots
-    assert warm_pivots < cold_pivots
+        warm_value = float(np.sum(warm.weights))
+        assert warm_value == pytest.approx(float(np.sum(cold.weights)), rel=1e-9)
+        assert warm_value == pytest.approx(_highs_l1(V, y), rel=1e-9)
+        assert float(np.max(np.abs(warm.dual @ V))) <= 1.0 + 1e-9
 
 
 def test_l1_column_simplex_certifies_degenerate_clustered_working_sets():
@@ -240,25 +239,47 @@ def test_l1_column_simplex_certifies_degenerate_clustered_working_sets():
         alpha = np.zeros(V.shape[1])
         alpha[sol.cols] = sol.signs * sol.weights
         assert float(np.max(np.abs(sol.dual @ V))) <= 1.0 + tol
-        assert float(sol.dual @ y) == pytest.approx(sol.value, rel=1e-12)
+        value = float(np.sum(sol.weights))
+        assert float(sol.dual @ y) == pytest.approx(value, rel=1e-12)
         assert float(np.min(sol.weights)) >= -tol * scale
         assert float(np.max(np.abs(V @ alpha - y))) <= tol * scale
-        assert sol.value == pytest.approx(_highs_l1(V, y), rel=1e-6)
+        assert value == pytest.approx(_highs_l1(V, y), rel=1e-6)
 
 
-def test_l1_column_simplex_pivot_cap_raises_with_residual():
-    rng = np.random.default_rng(1)
-    V, y = _gauss_working_set(rng)
-    while l1_column_simplex(V, y, np.arange(y.size)).pivots == 0:
-        V, y = _gauss_working_set(rng)
+def _crash_dual(V, y):
     n = y.size
     signs = np.where(np.linalg.solve(V[:, :n], y) < 0, -1.0, 1.0)
-    crash_dual = np.linalg.solve((V[:, :n] * signs).T, np.ones(n))
+    return np.linalg.solve((V[:, :n] * signs).T, np.ones(n))
+
+
+def test_l1_column_simplex_pivot_cap_raises_with_residual(monkeypatch):
+    rng = np.random.default_rng(1)
+    V, y = _gauss_working_set(rng)
+    while float(np.max(np.abs(_crash_dual(V, y) @ V))) <= 1.0 + 1e-6:
+        V, y = _gauss_working_set(rng)
+    monkeypatch.setattr(optim_mod, "_PIVOTS_PER_COLUMN", 0)
     with pytest.raises(ConvergenceError) as err:
-        l1_column_simplex(V, y, np.arange(n), max_pivots=0)
+        l1_column_simplex(V, y, np.arange(y.size))
     assert err.value.residual == pytest.approx(
-        float(np.max(np.abs(crash_dual @ V))) - 1.0, rel=1e-12)
+        float(np.max(np.abs(_crash_dual(V, y) @ V))) - 1.0, rel=1e-12)
     assert err.value.residual > 0
+
+
+def test_exact_residual_is_correctly_rounded():
+    # the refinement residual rhs - B x is the exact value rounded once,
+    # from float64 arithmetic alone, so it does not depend on long double
+    from fractions import Fraction
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 17))
+        B = np.exp(-0.5 * (rng.uniform(-8, 8, n)[:, None] - rng.uniform(-8, 8, n)) ** 2)
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
+        rhs = B @ x + rng.normal(size=n) * 1e-12
+        got = _exact_residual(B, x, rhs)
+        for i in range(n):
+            exact = Fraction(rhs[i]) - sum(Fraction(B[i, j]) * Fraction(x[j])
+                                           for j in range(n))
+            assert got[i] == float(exact)
 
 
 def test_l1_column_simplex_rejects_an_infeasible_basis():

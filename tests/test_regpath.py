@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +124,38 @@ def test_reg_gaussian_single_site():
     k = math.exp(-0.5)
     expected = (2.0 * k - 0.2) / (2.0 * k * k)
     assert w == pytest.approx(expected, rel=1e-4)
+
+
+_CYCLE_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+import rkbs_sparse as rk
+from rkbs_sparse.regpath import RegProblem, reg_solve, solution_certificate
+rng = np.random.default_rng(1)
+rng.uniform(-8, 8, 4); rng.uniform(-1, 1, 4); rng.uniform(-8, 8, 8); rng.uniform(-1, 1, 8)
+centers = np.sort(np.linspace(-8.0, 8.0, 16) + rng.uniform(-0.1, 0.1, 16))
+y = rng.uniform(-1.0, 1.0, 16)
+reg = RegProblem(rk.gauss_problem(centers, 1.0, y), 0.2)
+sol = reg_solve(reg)
+print(len(sol.atoms), repr(sol.dual_value), solution_certificate(reg, sol, 1e-9).verdict)
+"""
+
+
+def test_reg_gaussian_support_cycle_settles():
+    # the support rounds of this instance alternate between two 10-point
+    # supports whose fits differ by 1.4e-5; the solve settles on its best
+    # round instead of running out of rounds, with the 7 atoms and no worse
+    # an objective than the tableau-LP exchange once reached (1.8043489802)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CYCLE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    atoms, objective, verdict = done.stdout.split()
+    assert int(atoms) == 7
+    assert float(objective) <= 1.8043489802460588
+    assert verdict == "True"
 
 
 def test_reg_gaussian_zero_regime():
