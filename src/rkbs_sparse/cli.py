@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class ParsedProblem:
     p: Optional[float] = None
     lam: Optional[float] = None
     lambdas: Optional[List[float]] = None
-    alpha: Optional[List[Dict[str, float]]] = None
+    alpha: Optional[List[Tuple[float, float]]] = None
 
 
 def parse_problem(doc: Any, option_overrides: Dict[str, Any]) -> ParsedProblem:
@@ -240,8 +240,14 @@ def parse_problem(doc: Any, option_overrides: Dict[str, Any]) -> ParsedProblem:
             if not isinstance(atom, dict):
                 raise ValidationError(f"alpha[{i}] must be an object")
             _require_keys(atom, {"site": True, "coeff": True}, f"alpha[{i}]")
-            parsed.alpha.append({"site": _number(atom["site"], "site"),
-                                 "coeff": _number(atom["coeff"], "coeff")})
+            site = _number(atom["site"], "site")
+            if space != "gaussian-measure" and not (
+                    1 <= site <= _sequence.MAX_TRUNCATION and site.is_integer()):
+                raise ValidationError(f"alpha[{i}].site must be an integer in "
+                                      f"1..{_sequence.MAX_TRUNCATION}")
+            if site in [s for s, _ in parsed.alpha]:
+                raise ValidationError(f"alpha[{i}].site repeats an earlier site")
+            parsed.alpha.append((site, _number(atom["coeff"], "coeff")))
     if task in ("mni", "dual") and ("lambda" in doc or "lambdas" in doc):
         raise ValidationError(f"task {task!r} takes no lambda fields")
     return parsed
@@ -345,29 +351,8 @@ def _dual_report(parsed: ParsedProblem) -> Dict[str, Any]:
 
 def _lambda_check_report(parsed: ParsedProblem) -> Dict[str, Any]:
     base = parsed.base
-    tol = 10.0 * base.options.tol
-    if parsed.space == "gaussian-measure":
-        sites = [a["site"] for a in parsed.alpha]
-        coeffs = [a["coeff"] for a in parsed.alpha]
-        if sites:
-            V = _measure.kernel_matrix(base, sites, base.options.tol)
-            cert = _regpath.lambda_certificate(V, coeffs, base.y_vector(),
-                                               parsed.lam, tol)
-        else:
-            cands = _measure.find_attainment_points(base.y_vector(), base)
-            V = _measure.kernel_matrix(base, cands, base.options.tol)
-            cert = _regpath.lambda_certificate(V, np.zeros(len(cands)),
-                                               base.y_vector(), parsed.lam, tol)
-    else:
-        K = base.options.truncation_start
-        sites = [int(a["site"]) for a in parsed.alpha]
-        K = max([K] + sites)
-        V = base.coordinate_matrix(K)
-        alpha = np.zeros(K)
-        for a in parsed.alpha:
-            alpha[int(a["site"]) - 1] = a["coeff"]
-        cert = _regpath.lambda_certificate(V, alpha, base.y_vector(),
-                                           parsed.lam, tol)
+    cert = _regpath.atom_certificate(_regpath.RegProblem(base=base, lam=parsed.lam),
+                                     parsed.alpha, 10.0 * base.options.tol)
     return {"schema": SCHEMA, "space": parsed.space, "task": "lambda-check",
             "lambda": parsed.lam,
             "verdict": "pass" if cert.verdict else "fail",
@@ -379,24 +364,9 @@ def _lambda_check_report(parsed: ParsedProblem) -> Dict[str, Any]:
 
 
 def _lambda_max_report(parsed: ParsedProblem) -> Dict[str, Any]:
-    base = parsed.base
-    if parsed.space == "gaussian-measure":
-        y = base.y_vector()
-        pts = _measure.find_attainment_points(y, base, attain_tol=1e-9)
-        value = max(abs(_measure.gauss_eval(y, base, t)) for t in pts)
-    else:
-        y = base.y_vector()
-        K = base.options.truncation_start
-        while True:
-            g = base.coordinate_matrix(K).T @ y
-            value = float(np.max(np.abs(g)))
-            tail = float(sum(abs(yi) * f.tail_bound(K)
-                             for yi, f in zip(y, base.functionals)))
-            if tail <= value * (1.0 - 1e-12) or K >= 2 ** 20:
-                break
-            K *= 2
     return {"schema": SCHEMA, "space": parsed.space, "task": "lambda-max",
-            "lambda_max": value, "provenance": _provenance(base.options)}
+            "lambda_max": _regpath.certified_lambda_max(parsed.base),
+            "provenance": _provenance(parsed.base.options)}
 
 
 def _path_rows(parsed: ParsedProblem) -> List[_regpath.PathRow]:

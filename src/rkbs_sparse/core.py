@@ -48,10 +48,6 @@ class OracleRefusal(RkbsError):
     """A brute-force oracle refused an instance outside its safe range."""
 
 
-def _sign(x: float) -> float:
-    return 1.0 if x > 0 else (-1.0 if x < 0 else 0.0)
-
-
 # ---------------------------------------------------------------------------
 # sequence functionals
 # ---------------------------------------------------------------------------

@@ -378,8 +378,69 @@ def kernel_matrix(problem: GaussProblem, points: Sequence[float],
     return KernelMatrix.build(array, pts, tol)
 
 
+def _merge_atoms(problem: GaussProblem, sites: np.ndarray, w: np.ndarray):
+    """Sort atoms by location and fold each atom closer than sigma*1e-5 to
+    the first atom of its run into that atom, adding the weights.
+
+    Returns (sites, w, order) with ``order`` the sorting permutation of
+    the input; fewer sites than ``order`` entries means atoms merged.
+    """
+    order = np.argsort(sites)
+    keep_sites: List[float] = [sites[order[0]]]
+    keep_w: List[float] = [w[order[0]]]
+    for t, wt in zip(sites[order[1:]], w[order[1:]]):
+        if t - keep_sites[-1] < problem.sigma * 1e-5:
+            keep_w[-1] += wt
+        else:
+            keep_sites.append(t)
+            keep_w.append(wt)
+    return np.array(keep_sites), np.array(keep_w), order
+
+
+def _newton_polish(problem: GaussProblem, extra: np.ndarray, sites: np.ndarray,
+                   w: np.ndarray, signs_of, residual, jacobian, tol: float):
+    """Damped Newton iteration on a stationarity system over atoms.
+
+    The unknowns are ``extra`` (the dual coefficients, or none), the atom
+    weights w and the atom locations.  Each round merges colliding atoms
+    (``_merge_atoms``), takes the signs from
+    ``signs_of(extra, sites, w, previous signs or None, order)`` and stops
+    once max |residual(extra, sites, w, signs)| <= tol.  The Newton step
+    solves against ``jacobian`` (same arguments) and is halved, at most 30
+    times, until the residual norm drops.  Returns (extra, sites, w), or
+    None when the Jacobian is singular, no halving helps or 40 rounds run
+    out.
+    """
+    signs = None
+    p = extra.size
+    for _ in range(40):
+        sites, w, order = _merge_atoms(problem, sites, w)
+        signs = signs_of(extra, sites, w, signs, order)
+        F = residual(extra, sites, w, signs)
+        if float(np.max(np.abs(F))) <= tol:
+            return extra, sites, w
+        try:
+            delta = np.linalg.solve(jacobian(extra, sites, w, signs), -F)
+        except np.linalg.LinAlgError:
+            return None
+        m = sites.size
+        norm0 = float(np.linalg.norm(F))
+        damp = 1.0
+        for _ in range(30):
+            e_try = extra + damp * delta[:p]
+            w_try = w + damp * delta[p:p + m]
+            t_try = sites + damp * delta[p + m:]
+            if float(np.linalg.norm(residual(e_try, t_try, w_try, signs))) < norm0:
+                extra, w, sites = e_try, w_try, t_try
+                break
+            damp *= 0.5
+        else:
+            return None
+    return None
+
+
 def _polish(problem: GaussProblem, c: np.ndarray, sites: np.ndarray,
-            w: np.ndarray, max_rounds: int = 40):
+            w: np.ndarray):
     """Newton iteration on the joint primal-dual stationarity system.
 
     Unknowns are the dual coefficients, atom weights and atom locations;
@@ -392,69 +453,32 @@ def _polish(problem: GaussProblem, c: np.ndarray, sites: np.ndarray,
     """
     y = problem.y_vector()
     n = problem.n
-    scale = 1.0 + float(np.max(np.abs(y)))
-    c = c.copy()
-    sites = sites.copy()
-    w = w.copy()
 
-    for _ in range(max_rounds):
-        # merge collided atoms before assembling the system
-        if sites.size > 1:
-            order = np.argsort(sites)
-            sites, w = sites[order], w[order]
-            keep_sites: List[float] = [sites[0]]
-            keep_w: List[float] = [w[0]]
-            for t, wt in zip(sites[1:], w[1:]):
-                if t - keep_sites[-1] < problem.sigma * 1e-5:
-                    keep_w[-1] += wt
-                else:
-                    keep_sites.append(t)
-                    keep_w.append(wt)
-            sites = np.array(keep_sites)
-            w = np.array(keep_w)
-        m = sites.size
-        signs = np.sign(gauss_eval(c, problem, sites))
+    def signs_of(c, t, w, signs, order):
+        signs = np.sign(gauss_eval(c, problem, t))
         signs[signs == 0.0] = 1.0
+        return signs
 
-        k = _kernel(problem, sites)        # m x n
-        kd = _kernel_dt(problem, sites)    # m x n
-        kdd = _kernel_dtt(problem, sites)  # m x n
-        g = k @ c
-        gd = kd @ c
-        gdd = kdd @ c
-        F = np.concatenate([k.T @ w - y, g - signs, gd])
-        if float(np.max(np.abs(F))) <= 1e-13 * scale:
-            return c, sites, w
+    def residual(c, t, w, signs):
+        k = _kernel(problem, t)
+        return np.concatenate([k.T @ w - y, k @ c - signs,
+                               _kernel_dt(problem, t) @ c])
+
+    def jacobian(c, t, w, signs):
+        m = t.size
+        k = _kernel(problem, t)        # m x n
+        kd = _kernel_dt(problem, t)    # m x n
         J = np.zeros((n + 2 * m, n + 2 * m))
         J[:n, n:n + m] = k.T
         J[:n, n + m:] = kd.T * w
         J[n:n + m, :n] = k
-        J[n:n + m, n + m:] = np.diag(gd)
+        J[n:n + m, n + m:] = np.diag(kd @ c)
         J[n + m:, :n] = kd
-        J[n + m:, n + m:] = np.diag(gdd)
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        norm0 = float(np.linalg.norm(F))
-        damp = 1.0
-        for _ in range(30):
-            c_try = c + damp * delta[:n]
-            w_try = w + damp * delta[n:n + m]
-            t_try = sites + damp * delta[n + m:]
-            k_t = _kernel(problem, t_try)
-            F_try = np.concatenate([
-                k_t.T @ w_try - y,
-                k_t @ c_try - signs,
-                _kernel_dt(problem, t_try) @ c_try,
-            ])
-            if float(np.linalg.norm(F_try)) < norm0:
-                c, w, sites = c_try, w_try, t_try
-                break
-            damp *= 0.5
-        else:
-            return None
-    return None
+        J[n + m:, n + m:] = np.diag(_kernel_dtt(problem, t) @ c)
+        return J
+
+    return _newton_polish(problem, c, sites, w, signs_of, residual, jacobian,
+                          1e-13 * (1.0 + float(np.max(np.abs(y)))))
 
 
 @dataclass(frozen=True)

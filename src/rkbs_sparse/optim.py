@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, matrix_rank
+from .core import ConvergenceError, DomainError
 
 _PIVOT_TOL = 1e-11
 _FEAS_ULPS = 64  # rounding allowance of the column simplex, in ulps of ||x_B||_1
@@ -481,8 +481,3 @@ def prox_l1_solve(L: np.ndarray, y: np.ndarray, lam: float,
     raise ConvergenceError(
         f"proximal solver did not reach residual {tol:g} in {max_iters} iterations "
         f"(last residual {residual:.3e})", residual=residual)
-
-
-def l1_rank(L: np.ndarray, tol: float = 1e-9) -> int:
-    """Numerical rank used by the basis-pursuit sparsity bound."""
-    return matrix_rank(L, tol)

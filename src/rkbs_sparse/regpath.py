@@ -20,13 +20,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
-                   SeqProblem, SparseSolution, TruncationError, make_solution,
-                   prune_atoms)
+                   SeqProblem, SparseSolution, make_solution, prune_atoms)
 from .optim import OPTIMAL, basis_pursuit, prox_l1_solve
 from . import measure as _measure
 from . import sequence as _sequence
 
-_MAX_TRUNCATION = 2 ** 20
 _SUPPORT_ROUNDS = 20
 
 
@@ -147,101 +145,81 @@ def _vertexify(mat: np.ndarray, labels: Sequence[float], alpha: np.ndarray,
 def _reg_solve_seq(problem: SeqProblem, lam: float) -> SparseSolution:
     opts = problem.options
     y = problem.y_vector()
-    K = opts.truncation_start
-    while True:
-        V = problem.coordinate_matrix(K)
+
+    def level(K, V):
         alpha = prox_l1_solve(V, y, lam, tol=opts.tol)
-        a = V @ alpha - y
         # |<a, column k>| <= sum_i |a_i| tail_i(K) for every k > K, so once
         # that bound sits below lambda the off-range inequalities hold
-        tail = float(sum(abs(a[i]) * problem.functionals[i].tail_bound(K)
-                         for i in range(problem.n)))
-        if tail <= lam * (1.0 - 1e-6):
-            break
-        if K >= _MAX_TRUNCATION:
-            raise TruncationError(
-                f"off-range optimality certificate unreachable at K={K} "
-                f"(tail {tail:.3e} vs lambda {lam:g})", residual=tail)
-        K *= 2
+        return V @ alpha - y, lam * (1.0 - 1e-6), (V, alpha)
+
+    K, (V, alpha), _ = _sequence._certified_truncation(
+        problem, opts.truncation_start, level)
     labels = list(range(1, K + 1))
     return _vertexify(V, labels, alpha, y, lam, opts.tol, opts.attain_tol,
                       problem.n)
 
 
-def _continuous_sup(problem: GaussProblem, c: np.ndarray) -> float:
-    pts = _measure.find_attainment_points(c, problem, attain_tol=1e-9)
-    return max(abs(_measure.gauss_eval(c, problem, t)) for t in pts)
+def certified_lambda_max(base: Union[SeqProblem, GaussProblem]) -> float:
+    """Smallest lambda for which the zero solution is optimal, over the
+    whole space: sup |sum_i y_i v_i| for sequence problems, with the
+    truncation certified by the tail bounds, and sup_t |sum_i y_i K(x_i, t)|
+    for Gaussian problems, from the refined attainment points.
+    """
+    y = base.y_vector()
+    if isinstance(base, GaussProblem):
+        pts = _measure.find_attainment_points(y, base, attain_tol=1e-9)
+        return max(abs(_measure.gauss_eval(y, base, t)) for t in pts)
+
+    def level(K, V):
+        value = float(np.max(np.abs(V.T @ y)))
+        return y, value * (1.0 - 1e-12), value
+
+    return _sequence._certified_truncation(
+        base, base.options.truncation_start, level)[1]
 
 
 def _polish_reg_atoms(problem: GaussProblem, sites: np.ndarray, w: np.ndarray,
-                      lam: float, max_rounds: int = 40):
+                      lam: float):
     """Newton polish of the regularized stationarity system.
 
     At an optimal atom the misfit correlation sum_i a_i K(x_i, t_k) equals
     -lam sign(w_k) and is stationary in t_k (a = fitted - y).  Borderline
     center separations make |correlation| quartically flat, so the
     atom locations coming out of the attainment machinery carry a large
-    error that this polish removes.  Returns (sites, w) or None.
+    error that this polish removes.  The signs are those of the input
+    weights, re-read only when atoms merge.  Returns (sites, w) or None.
     """
     y = problem.y_vector()
-    sites = sites.copy()
-    w = w.copy()
-    signs = np.sign(w)
-    for _ in range(max_rounds):
-        if sites.size > 1:
-            order = np.argsort(sites)
-            sites, w, signs = sites[order], w[order], signs[order]
-            if float(np.min(np.diff(sites))) < problem.sigma * 1e-5:
-                keep_s, keep_w = [sites[0]], [w[0]]
-                for t, wt in zip(sites[1:], w[1:]):
-                    if t - keep_s[-1] < problem.sigma * 1e-5:
-                        keep_w[-1] += wt
-                    else:
-                        keep_s.append(t)
-                        keep_w.append(wt)
-                sites, w = np.array(keep_s), np.array(keep_w)
-                signs = np.sign(w)
-        m = sites.size
-        phi = _measure._kernel(problem, sites)      # m x n
-        phid = _measure._kernel_dt(problem, sites)
-        phidd = _measure._kernel_dtt(problem, sites)
-        a = phi.T @ w - y
-        F = np.concatenate([phi @ a + lam * signs, phid @ a])
-        if float(np.max(np.abs(F))) <= 1e-12 * max(1.0, lam):
-            return sites, w
-        Dw = np.diag(w)
-        J = np.block([
+
+    def signs_of(_, t, wt, signs, order):
+        return np.sign(wt) if signs is None or t.size < order.size else signs[order]
+
+    def residual(_, t, wt, signs):
+        phi = _measure._kernel(problem, t)      # m x n
+        a = phi.T @ wt - y
+        return np.concatenate([phi @ a + lam * signs,
+                               _measure._kernel_dt(problem, t) @ a])
+
+    def jacobian(_, t, wt, signs):
+        phi = _measure._kernel(problem, t)
+        phid = _measure._kernel_dt(problem, t)
+        a = phi.T @ wt - y
+        Dw = np.diag(wt)
+        return np.block([
             [phi @ phi.T, phi @ phid.T @ Dw + np.diag(phid @ a)],
-            [phid @ phi.T, phid @ phid.T @ Dw + np.diag(phidd @ a)],
+            [phid @ phi.T, phid @ phid.T @ Dw
+             + np.diag(_measure._kernel_dtt(problem, t) @ a)],
         ])
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        norm0 = float(np.linalg.norm(F))
-        damp = 1.0
-        for _ in range(30):
-            w_try = w + damp * delta[:m]
-            t_try = sites + damp * delta[m:]
-            phi_t = _measure._kernel(problem, t_try)
-            a_try = phi_t.T @ w_try - y
-            F_try = np.concatenate([
-                phi_t @ a_try + lam * signs,
-                _measure._kernel_dt(problem, t_try) @ a_try,
-            ])
-            if float(np.linalg.norm(F_try)) < norm0:
-                w, sites = w_try, t_try
-                break
-            damp *= 0.5
-        else:
-            return None
-    return None
+
+    polished = _measure._newton_polish(problem, np.zeros(0), sites, w, signs_of,
+                                       residual, jacobian, 1e-12 * max(1.0, lam))
+    return None if polished is None else polished[1:]
 
 
 def _reg_solve_gauss(problem: GaussProblem, lam: float) -> SparseSolution:
     opts = problem.options
     y = problem.y_vector()
-    if _continuous_sup(problem, y) <= lam * (1.0 + 1e-12):
+    if certified_lambda_max(problem) <= lam * (1.0 + 1e-12):
         return _zero_solution(y, problem.n, opts.tol)
 
     cert = _measure.dual_solve_semiinfinite(problem)
@@ -314,28 +292,34 @@ def reg_solve(problem: RegProblem) -> SparseSolution:
     return _reg_solve_gauss(problem.base, problem.lam)
 
 
+def atom_certificate(problem: RegProblem, atoms, tol: float) -> LambdaCertificate:
+    """Run lambda_certificate for (site, coeff) atoms on their candidate matrix.
+
+    Sequence sites are 1-based coordinates, audited on the columns
+    1..max(truncation_start, largest site) and reported 1-based; Gaussian
+    sites are locations, audited on their kernel columns or, with no
+    atoms, on the attainment points of y.
+    """
+    base = problem.base
+    y = base.y_vector()
+    if isinstance(base, SeqProblem):
+        K = max([base.options.truncation_start] + [int(s) for s, _ in atoms])
+        alpha = np.zeros(K)
+        for site, coeff in atoms:
+            alpha[int(site) - 1] = coeff
+        cert = lambda_certificate(base.coordinate_matrix(K), alpha, y,
+                                  problem.lam, tol)
+        return dataclasses.replace(cert, support=tuple(k + 1 for k in cert.support))
+    if not atoms:
+        atoms = [(t, 0.0) for t in _measure.find_attainment_points(y, base)]
+    V = _measure.kernel_matrix(base, [s for s, _ in atoms], base.options.tol)
+    return lambda_certificate(V, [c for _, c in atoms], y, problem.lam, tol)
+
+
 def solution_certificate(problem: RegProblem, sol: SparseSolution,
                          tol: float) -> LambdaCertificate:
     """Run lambda_certificate for a solver output on its candidate matrix."""
-    base = problem.base
-    if isinstance(base, SeqProblem):
-        K = base.options.truncation_start
-        sites = [int(s) for s in sol.sites()]
-        K = max([K] + [s for s in sites])
-        V = base.coordinate_matrix(K)
-        alpha = np.zeros(K)
-        for site, coeff in sol.atoms:
-            alpha[int(site) - 1] = coeff
-        return lambda_certificate(V, alpha, base.y_vector(), problem.lam, tol)
-    sites = list(sol.sites())
-    if not sites:
-        cands = _measure.find_attainment_points(base.y_vector(), base)
-        V = _measure.kernel_matrix(base, cands, base.options.tol)
-        return lambda_certificate(V, np.zeros(len(cands)), base.y_vector(),
-                                  problem.lam, tol)
-    V = _measure.kernel_matrix(base, sites, base.options.tol)
-    return lambda_certificate(V, sol.coefficients(), base.y_vector(),
-                              problem.lam, tol)
+    return atom_certificate(problem, sol.atoms, tol)
 
 
 @dataclass(frozen=True)

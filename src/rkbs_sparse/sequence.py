@@ -26,7 +26,7 @@ from .core import (ConvergenceError, DomainError, KernelMatrix, SeqProblem,
                    make_solution, prune_atoms, scaled_sum)
 from .optim import OPTIMAL, UNBOUNDED, basis_pursuit, linear_program, lp_solve
 
-_MAX_TRUNCATION = 2 ** 20
+MAX_TRUNCATION = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -52,35 +52,45 @@ class DualCertificate:
         return np.asarray(self.coefficients, dtype=float)
 
 
-def _certify(problem: SeqProblem, c: np.ndarray, start: int):
-    """Find a truncation K whose tail certificate covers the combination c.
+def _certified_truncation(problem: SeqProblem, start: int, level):
+    """Double the truncation level K from ``start`` until a tail certificate holds.
 
-    Returns (K, coords of sum_j c_j v_j on 1..K, sup, tail bound).  The
-    certificate requires the tail bound to sit below (1 - attain_tol)
-    times the sup, which simultaneously proves feasibility of c for the
-    untruncated constraints and confines the attainment set to 1..K.
+    ``level(K, V)``, with V the n x K coordinate matrix, returns
+    (weights w, gate, result) for that level.  Every coordinate beyond K
+    of sum_j w_j v_j is bounded by the tail sum_j |w_j| tail_j(K), and the
+    certificate holds once that tail is at most the gate.  Returns
+    (K, result, tail); raises TruncationError carrying the tail when K
+    reaches MAX_TRUNCATION without it.
     """
-    attain_tol = problem.options.attain_tol
     K = start
     while True:
-        V = problem.coordinate_matrix(K)
-        coords = V.T @ c
-        sup = float(np.max(np.abs(coords)))
-        tail = float(sum(abs(cj) * f.tail_bound(K)
-                         for cj, f in zip(c, problem.functionals)))
-        if tail <= (1.0 - attain_tol) * sup:
-            return K, coords, sup, tail
-        if K >= _MAX_TRUNCATION:
+        weights, gate, result = level(K, problem.coordinate_matrix(K))
+        tail = float(sum(abs(w) * f.tail_bound(K)
+                         for w, f in zip(weights, problem.functionals)))
+        if tail <= gate:
+            return K, result, tail
+        if K >= MAX_TRUNCATION:
             raise TruncationError(
-                f"tail certificate unreachable at K={K}: certified tail {tail:.3e} "
-                f"exceeds (1 - attain_tol) * sup = {(1.0 - attain_tol) * sup:.3e}",
-                residual=tail)
+                f"tail certificate unreachable at K={K}: certified tail "
+                f"{tail:.3e} exceeds its gate {gate:.3e}", residual=tail)
         K *= 2
 
 
 def _build_certificate(problem: SeqProblem, c: np.ndarray, start: int) -> DualCertificate:
+    """Certify the combination c and read off its attainment set.
+
+    The tail bound must sit below (1 - attain_tol) times the sup, which
+    proves feasibility of c for the untruncated constraints and confines
+    the attainment set to 1..K.
+    """
     attain_tol = problem.options.attain_tol
-    K, coords, sup, tail = _certify(problem, c, start)
+
+    def level(K, V):
+        coords = V.T @ c
+        sup = float(np.max(np.abs(coords)))
+        return c, (1.0 - attain_tol) * sup, (coords, sup)
+
+    K, (coords, sup), tail = _certified_truncation(problem, start, level)
     m0 = float(problem.y_vector() @ c)
     attaining = np.abs(coords) >= sup * (1.0 - attain_tol)
     attain = tuple(int(k) for k in np.nonzero(attaining)[0] + 1)
@@ -123,35 +133,27 @@ def _dual_solve_generated(problem: SeqProblem):
     The LP only ever carries the working coordinate set (initially
     1..truncation_start); the certificate range doubles independently and
     is checked by evaluation, so constraints never materialize beyond the
-    working set.  Returns (c, K, coords on 1..K).
+    working set.  Returns (c, K).
     """
     opts = problem.options
     from .core import matrix_rank
-    K = opts.truncation_start
-    coords_all = problem.coordinate_matrix(K)
-    if matrix_rank(coords_all, opts.tol) < problem.n:
-        raise DomainError("functionals are linearly dependent on the truncated range")
-    work = np.arange(1, K + 1)
-    for _ in range(200):
-        c = _solve_working_lp(problem, coords_all[:, work - 1])
-        g = coords_all.T @ c
-        fresh = _new_violations(g, work)
-        if fresh.size:
+    work = np.arange(1, opts.truncation_start + 1)
+
+    def level(K, V):
+        nonlocal work
+        if K == opts.truncation_start and matrix_rank(V, opts.tol) < problem.n:
+            raise DomainError("functionals are linearly dependent on the truncated range")
+        for _ in range(200):
+            c = _solve_working_lp(problem, V[:, work - 1])
+            g = V.T @ c
+            fresh = _new_violations(g, work)
+            if fresh.size == 0:
+                return c, (1.0 - opts.attain_tol) * float(np.max(np.abs(g))), c
             work = np.union1d(work, fresh)
-            continue
-        sup = float(np.max(np.abs(g)))
-        tail = float(sum(abs(cj) * f.tail_bound(K)
-                         for cj, f in zip(c, problem.functionals)))
-        if tail <= (1.0 - opts.attain_tol) * sup:
-            return c, K, g
-        if K >= _MAX_TRUNCATION:
-            raise TruncationError(
-                f"tail certificate unreachable at K={K}: certified tail "
-                f"{tail:.3e} exceeds (1 - attain_tol) * sup = "
-                f"{(1.0 - opts.attain_tol) * sup:.3e}", residual=tail)
-        K *= 2
-        coords_all = problem.coordinate_matrix(K)
-    raise ConvergenceError("dual constraint generation did not settle")
+        raise ConvergenceError("dual constraint generation did not settle")
+
+    K, c, _ = _certified_truncation(problem, opts.truncation_start, level)
+    return c, K
 
 
 def _lex_min_l1_on_face(problem: SeqProblem, columns: np.ndarray,
@@ -235,7 +237,7 @@ def dual_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> Dual
     y = problem.y_vector()
     if float(np.max(np.abs(y))) == 0.0:
         raise DomainError("y must be nonzero")
-    c, K, _ = _dual_solve_generated(problem)
+    c, K = _dual_solve_generated(problem)
     cert = _build_certificate(problem, c, K)
     if minimal_attainment:
         c = _minimal_attainment_pass(problem, cert.truncation_used, cert.value)

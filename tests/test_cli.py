@@ -188,6 +188,88 @@ def test_lambda_max_command(tmp_path):
     assert json.loads(text)["lambda_max"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_lambda_check_labels_l1_support_one_based(tmp_path):
+    doc = {"schema": "rkbs-sparse/1", "space": "l1", "task": "lambda-check",
+           "functionals": PATH_DOC["functionals"], "y": [1.0, 1.0],
+           "lambda": 0.5, "alpha": [{"site": 1, "coeff": 0.5}]}
+    code, text = _run(tmp_path, ["lambda-check"], doc)
+    assert code == 0
+    assert json.loads(text)["support"] == [1]
+    doc["alpha"] = [{"site": 2, "coeff": 0.5}, {"site": 1, "coeff": 0.5}]
+    code, text = _run(tmp_path, ["lambda-check"], doc, name="two.json")
+    assert code == 0
+    assert json.loads(text)["support"] == [1, 2]
+
+
+@pytest.mark.parametrize("space, sites", [
+    ("l1", [0]),
+    ("l1", [-1]),
+    ("l1", [2.7]),
+    ("l1", [2 ** 20 + 1]),
+    ("l1", [1, 2, 1]),
+    ("gaussian-measure", [0.5, 0.5]),
+])
+def test_lambda_check_rejects_bad_sites(tmp_path, capsys, space, sites):
+    doc = {"schema": "rkbs-sparse/1", "space": space, "task": "lambda-check",
+           "y": [1.0, 1.0], "lambda": 0.5,
+           "alpha": [{"site": s, "coeff": 0.5} for s in sites]}
+    if space == "l1":
+        doc["functionals"] = PATH_DOC["functionals"]
+    else:
+        doc.update(sigma=1.0, centers=[-1.0, 1.0])
+    code, text = _run(tmp_path, ["lambda-check"], doc)
+    assert code == 2
+    assert text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "site" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("doc, lam", [
+    ({"schema": "rkbs-sparse/1", "space": "l1", "task": "reg",
+      "functionals": [{"kind": "harmonic"}, {"kind": "geometric", "ratio": -0.5},
+                      {"kind": "finite", "values": [0.8, -1.2, 0.4]}],
+      "y": [1.0, 0.6, -0.7]}, 0.15),
+    ({"schema": "rkbs-sparse/1", "space": "gaussian-measure", "task": "reg",
+      "sigma": 1.0, "centers": [-3.0, 0.0, 2.5], "y": [1.0, -0.5, 0.8]}, 0.1),
+])
+def test_lambda_check_matches_solution_certificate(tmp_path, doc, lam):
+    from rkbs_sparse import regpath
+    parsed = cli.parse_problem(dict(doc, **{"lambda": lam}), {})
+    problem = regpath.RegProblem(base=parsed.base, lam=lam)
+    sol = regpath.reg_solve(problem)
+    assert len(sol.atoms) >= 2
+    cert = regpath.solution_certificate(problem, sol,
+                                        10.0 * parsed.base.options.tol)
+    check = dict(doc, task="lambda-check", **{"lambda": lam},
+                 alpha=[{"site": s, "coeff": c} for s, c in sol.atoms])
+    code, text = _run(tmp_path, ["lambda-check"], check)
+    assert code == 0
+    report = json.loads(text)
+    assert report["verdict"] == "pass"
+    assert report["support"] == list(cert.support)
+    assert report["equality_residuals"] == list(cert.equality_residuals)
+    assert report["worst_inequality_slack"] == min(cert.inequality_slacks,
+                                                   default=0.0)
+
+
+def test_lambda_max_uncertified_tail_is_a_solver_failure(tmp_path, capsys):
+    # the second functional differs from the first only at coordinate 1,
+    # so ||L^T y|| is 1e-9 while the harmonic tails cancel only in value:
+    # their certified bound stays above it up to the truncation cap
+    doc = {"schema": "rkbs-sparse/1", "space": "l1", "task": "mni",
+           "functionals": [{"kind": "harmonic"},
+                           {"kind": "scaled-sum", "weights": [1.0, 1.0],
+                            "children": [{"kind": "harmonic"},
+                                         {"kind": "finite", "values": [1e-9]}]}],
+           "y": [1.0, -1.0]}
+    code, text = _run(tmp_path, ["lambda-max"], doc)
+    assert code == 3
+    assert text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == 3
+    assert "tail" in err["error"]["message"]
+
+
 def test_path_csv_output(tmp_path):
     code, text = _run(tmp_path, ["path", "--format", "csv"], PATH_DOC)
     assert code == 0

@@ -224,6 +224,29 @@ def test_mni_far_pair_survives_polish_fallback(monkeypatch):
     assert sol.residual <= 1e-6
 
 
+def test_mirror_atom_pair_merges_into_one_atom():
+    from rkbs_sparse.measure import _merge_atoms
+    problem = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    sites, w, order = _merge_atoms(problem, np.array([2e-6, 0.5, -2e-6]),
+                                   np.array([0.75, -0.2, 0.5]))
+    assert sites.tolist() == [-2e-6, 0.5]
+    assert w.tolist() == [1.25, -0.2]
+    assert order.tolist() == [2, 0, 1]
+
+
+def test_polish_folds_a_mirror_pair_into_the_midpoint_atom():
+    # centers +-1 and y = 1 have one optimal atom at 0 of weight sqrt(e)
+    from rkbs_sparse.measure import _polish
+    problem = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    c0 = np.full(2, 1.01 * math.sqrt(math.e) / 2.0)
+    c, sites, w = _polish(problem, c0, np.array([-1e-7, 1e-7]),
+                          np.array([0.8, 0.85]))
+    assert sites.shape == (1,)
+    assert abs(sites[0]) <= 1e-12
+    assert w[0] == pytest.approx(math.sqrt(math.e), rel=1e-12)
+    assert c == pytest.approx(np.full(2, math.sqrt(math.e) / 2.0), rel=1e-12)
+
+
 def test_mni_measure_strong_duality_batch():
     rng = np.random.default_rng(17)
     for _ in range(6):

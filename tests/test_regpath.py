@@ -126,6 +126,18 @@ def test_reg_gaussian_single_site():
     assert w == pytest.approx(expected, rel=1e-4)
 
 
+def test_reg_polish_folds_a_mirror_pair_into_the_midpoint_atom():
+    from rkbs_sparse.regpath import _polish_reg_atoms
+    base = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    sites, w = _polish_reg_atoms(base, np.array([-1e-7, 1e-7]),
+                                 np.array([0.8, 0.8]), 0.1)
+    assert sites.shape == (1,)
+    assert abs(sites[0]) <= 1e-12
+    # 2 k (w k - 1) = -lam with k = exp(-1/2)
+    k = math.exp(-0.5)
+    assert w[0] == pytest.approx((2.0 * k - 0.1) / (2.0 * k * k), rel=1e-12)
+
+
 _CYCLE_CHILD = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -100,6 +100,32 @@ def test_attainment_of_coordinate_atom():
     assert cert.attainment == (3,)
 
 
+def test_truncation_doubling_raises_with_the_tail_at_the_cap(monkeypatch):
+    from rkbs_sparse import sequence
+    monkeypatch.setattr(sequence, "MAX_TRUNCATION", 1024)
+    problem = rk.seq_problem([rk.harmonic()], [1.0])
+    levels = []
+
+    def level(K, V):
+        levels.append((K, V.shape))
+        return np.array([2.0]), 1e-12, None
+
+    with pytest.raises(rk.TruncationError) as info:
+        sequence._certified_truncation(problem, 256, level)
+    assert levels == [(256, (1, 256)), (512, (1, 512)), (1024, (1, 1024))]
+    # the harmonic tail beyond K is 1/(K+1), weighted by |w| = 2
+    assert info.value.residual == pytest.approx(2.0 / 1025, rel=1e-15)
+
+
+def test_truncation_doubling_stops_at_the_first_certified_level():
+    from rkbs_sparse import sequence
+    problem = rk.seq_problem([rk.harmonic()], [1.0])
+    K, result, tail = sequence._certified_truncation(
+        problem, 256, lambda K, V: (np.array([1.0]), 1.0 / 1500, K))
+    assert (K, result) == (2048, 2048)
+    assert tail == pytest.approx(1.0 / 2049, rel=1e-15)
+
+
 def test_truncation_matrix_worked_example_values(worked_example):
     V = truncation_matrix(worked_example.functionals, [1, 2])
     assert V.array == pytest.approx(np.array([[1.0, 0.5], [1.0, -0.5]]))
