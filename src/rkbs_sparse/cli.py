@@ -87,7 +87,10 @@ def _require_keys(obj: Dict[str, Any], allowed: Dict[str, bool], where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where} is out of range") from None
 
 
 def _number_list(value, where: str) -> List[float]:
@@ -122,6 +125,7 @@ def _parse_functional(spec, where: str) -> SequenceFunctional:
 
 _OPTION_KEYS = {"tol": False, "attain_tol": False, "truncation_start": False,
                 "grid_step": False, "max_exchange_iters": False}
+_WHOLE_OPTIONS = ("truncation_start", "max_exchange_iters")
 
 
 def _parse_options(spec, overrides: Dict[str, Any]) -> SolverOptions:
@@ -132,10 +136,15 @@ def _parse_options(spec, overrides: Dict[str, Any]) -> SolverOptions:
         _require_keys(spec, _OPTION_KEYS, "options")
         fields.update(spec)
     fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "truncation_start" in fields:
-        fields["truncation_start"] = int(fields["truncation_start"])
-    if "max_exchange_iters" in fields:
-        fields["max_exchange_iters"] = int(fields["max_exchange_iters"])
+    for key, value in fields.items():
+        if key == "grid_step" and value is None:
+            continue  # null selects the default grid step
+        number = _number(value, "options." + key)
+        if key in _WHOLE_OPTIONS:
+            if not number.is_integer():
+                raise ValidationError(f"options.{key} must be a whole number")
+            number = int(number)
+        fields[key] = number
     try:
         return SolverOptions(**fields)
     except DomainError as exc:

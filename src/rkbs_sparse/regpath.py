@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
-                   SeqProblem, SparseSolution, make_solution, prune_atoms)
+                   RkbsError, SeqProblem, SparseSolution, make_solution,
+                   prune_atoms)
 from .optim import OPTIMAL, basis_pursuit, prox_l1_solve
 from . import measure as _measure
 from . import sequence as _sequence
@@ -395,8 +396,9 @@ def sparsity_path(base: Union[SeqProblem, GaussProblem],
                   lambdas: Sequence[float]) -> List[PathRow]:
     """One regularized solve per lambda; rows in input order.
 
-    Lambdas must be positive and ascending.  Per-row solver failures are
-    recorded in the row's ``error`` field instead of aborting the path.
+    Lambdas must be positive and ascending.  Per-row solver failures
+    (``RkbsError``) are recorded in the row's ``error`` field instead of
+    aborting the path; any other exception propagates.
     """
     lams = [float(v) for v in lambdas]
     if any(l <= 0 for l in lams):
@@ -409,7 +411,7 @@ def sparsity_path(base: Union[SeqProblem, GaussProblem],
             sol = reg_solve(RegProblem(base=base, lam=lam))
             rows.append(PathRow(lam=lam, atom_count=len(sol.atoms),
                                 l1_norm=sol.norm, objective=sol.dual_value))
-        except Exception as exc:  # recorded, not fatal
+        except RkbsError as exc:  # recorded, not fatal
             rows.append(PathRow(lam=lam, atom_count=-1, l1_norm=math.nan,
                                 objective=math.nan, error=str(exc)))
     return rows

@@ -9,6 +9,12 @@ functional is provably contained in 1..K.  Basis pursuit on the columns
 picked out by the attainment set then recovers an extreme-point solution
 whose support size is bounded by the rank of the truncated matrix.
 
+Both dual LPs (the working-set LP of the constraint generation and the
+lexicographic face LP of the minimal-attainment pass) split c into
+c+ - c- >= 0 and hand their standard-form tableau [A | slacks | b]
+straight to the tableau simplex ``optim._solve_standard``; one
+constraint-generation loop grows the working coordinates of both.
+
 An lp-norm solver (1 < p < inf) is included as a contrast: its solution
 is given by a smooth closed form and is generically not sparse.
 """
@@ -23,10 +29,13 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, KernelMatrix, SeqProblem,
                    SequenceFunctional, SparseSolution, TruncationError,
-                   make_solution, prune_atoms, scaled_sum)
-from .optim import OPTIMAL, UNBOUNDED, basis_pursuit, linear_program, lp_solve
+                   make_solution, matrix_rank, prune_atoms, scaled_sum)
+from .optim import OPTIMAL, UNBOUNDED, _solve_standard, basis_pursuit
 
 MAX_TRUNCATION = 2 ** 20
+_LP_GRAD_TOL = 1e-12  # lp dual: relative projected-gradient stopping norm
+_LP_MAX_ITERS = 100_000  # lp dual: gradient steps per truncation level
+_MAX_DEPENDENCY_WINDOW = 2 ** 15  # support_dependency_check: widest window
 
 
 @dataclass(frozen=True)
@@ -103,28 +112,51 @@ def _build_certificate(problem: SeqProblem, c: np.ndarray, start: int) -> DualCe
                            truncation_used=K, margin=margin)
 
 
+def _generate_constraints(V: np.ndarray, work: np.ndarray, solve, what: str):
+    """Constraint generation over the coordinate columns of V.
+
+    ``solve(columns)`` returns the dual combination c for the working
+    coordinates ``work`` (1-based); each round adds the coordinates where
+    |V^T c| exceeds 1 + 1e-9, at most 64 of them, the most violated
+    first.  Returns (c, V^T c, work) once no coordinate of V is violated.
+    """
+    for _ in range(200):
+        c = solve(V[:, work - 1])
+        g = V.T @ c
+        viol = np.nonzero(np.abs(g) > 1.0 + 1e-9)[0] + 1
+        fresh = np.setdiff1d(viol, work)
+        if fresh.size == 0:
+            return c, g, work
+        if fresh.size > 64:
+            fresh = fresh[np.argsort(-np.abs(g[fresh - 1]))[:64]]
+        work = np.union1d(work, fresh)
+    raise ConvergenceError(f"{what} did not settle")
+
+
 def _solve_working_lp(problem: SeqProblem, columns: np.ndarray) -> np.ndarray:
-    """max c.y s.t. |sum_j c_j v_{j,k}| <= 1 for the working coordinates."""
+    """max c.y s.t. |sum_j c_j v_{j,k}| <= 1 for the working coordinates.
+
+    Standard form over c = c+ - c-: the tableau is T = [A_+- | I | 1]
+    for the rows A = (columns^T, -columns^T), with each coordinate's c+
+    and c- columns side by side and cost (-y_j, +y_j) on them.
+    """
+    n, W = columns.shape
+    y = problem.y_vector()
     A = np.vstack([columns.T, -columns.T])
-    b = np.ones(A.shape[0])
-    lp = linear_program(problem.y_vector(), A, b, ["<="] * A.shape[0],
-                        [(None, None)] * problem.n, maximize=True)
-    sol = lp_solve(lp, problem.options.tol)
-    if sol.status == UNBOUNDED:
+    T = np.zeros((2 * W, 2 * n + 2 * W + 1))
+    T[:, :2 * n:2] = A
+    T[:, 1:2 * n:2] = -A
+    np.fill_diagonal(T[:, 2 * n:], 1.0)
+    T[:, -1] = 1.0
+    cost = np.zeros(2 * n + 2 * W)
+    cost[:2 * n:2] = -y
+    cost[1:2 * n:2] = y
+    u, status = _solve_standard(T, cost, problem.options.tol)
+    if status == UNBOUNDED:
         raise DomainError("dual problem unbounded; functionals do not separate y")
-    if sol.status != OPTIMAL:
-        raise ConvergenceError(f"dual LP failed with status {sol.status}")
-    return sol.x
-
-
-def _new_violations(g: np.ndarray, work: np.ndarray, limit: int = 64) -> np.ndarray:
-    """Constraint indices (1-based) violated by the current combination."""
-    viol = np.nonzero(np.abs(g) > 1.0 + 1e-9)[0] + 1
-    fresh = np.setdiff1d(viol, work)
-    if fresh.size > limit:
-        order = np.argsort(-np.abs(g[fresh - 1]))
-        fresh = fresh[order[:limit]]
-    return fresh
+    if status != OPTIMAL:
+        raise ConvergenceError(f"dual LP failed with status {status}")
+    return (u[:2 * n:2] + 0.0) - u[1:2 * n:2]  # + 0.0 keeps zeros unsigned
 
 
 def _dual_solve_generated(problem: SeqProblem):
@@ -136,21 +168,16 @@ def _dual_solve_generated(problem: SeqProblem):
     working set.  Returns (c, K).
     """
     opts = problem.options
-    from .core import matrix_rank
     work = np.arange(1, opts.truncation_start + 1)
 
     def level(K, V):
         nonlocal work
         if K == opts.truncation_start and matrix_rank(V, opts.tol) < problem.n:
             raise DomainError("functionals are linearly dependent on the truncated range")
-        for _ in range(200):
-            c = _solve_working_lp(problem, V[:, work - 1])
-            g = V.T @ c
-            fresh = _new_violations(g, work)
-            if fresh.size == 0:
-                return c, (1.0 - opts.attain_tol) * float(np.max(np.abs(g))), c
-            work = np.union1d(work, fresh)
-        raise ConvergenceError("dual constraint generation did not settle")
+        c, g, work = _generate_constraints(
+            V, work, lambda columns: _solve_working_lp(problem, columns),
+            "dual constraint generation")
+        return c, (1.0 - opts.attain_tol) * float(np.max(np.abs(g))), c
 
     K, c, _ = _certified_truncation(problem, opts.truncation_start, level)
     return c, K
@@ -162,45 +189,43 @@ def _lex_min_l1_on_face(problem: SeqProblem, columns: np.ndarray,
 
     Split variables u = [c+, c-] >= 0; first minimize sum(c+ + c-) subject
     to the working sup-norm constraints and c.y = m0, then pin each
-    coordinate in turn.
+    coordinate in turn.  Every LP is the tableau [A | slacks | b]: the
+    2W sup-norm rows (columns^T, -columns^T) as u-rows (r, -r) with one
+    slack each, then the equality rows, each pinning a value it reached.
     """
-    n = problem.n
+    n, W = columns.shape
     y = problem.y_vector()
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    senses: List[str] = []
-    for block in (columns.T, -columns.T):
-        for r in block:
-            rows.append(np.concatenate([r, -r]))
-            rhs.append(1.0)
-            senses.append("<=")
-    rows.append(np.concatenate([y, -y]))
-    rhs.append(m0)
-    senses.append("==")
+    tol = problem.options.tol
+    ineq = np.block([[columns.T, -columns.T], [-columns.T, columns.T]])
+    eq_rows: List[np.ndarray] = [np.concatenate([y, -y])]
+    eq_rhs: List[float] = [m0]
 
-    bounds = [(0.0, None)] * (2 * n)
-    lp = linear_program(np.ones(2 * n), np.vstack(rows), np.array(rhs), senses,
-                        bounds)
-    sol = lp_solve(lp, problem.options.tol)
-    if sol.status != OPTIMAL:
+    def solve(obj):
+        T = np.zeros((2 * W + len(eq_rows), 2 * n + 2 * W + 1))
+        T[:2 * W, :2 * n] = ineq
+        T[2 * W:, :2 * n] = eq_rows
+        np.fill_diagonal(T[:2 * W, 2 * n:], 1.0)
+        T[:2 * W, -1] = 1.0
+        T[2 * W:, -1] = eq_rhs
+        cost = np.zeros(2 * n + 2 * W)
+        cost[:2 * n] = obj
+        u, status = _solve_standard(T, cost, tol)
+        return u[:2 * n] + 0.0, status  # + 0.0 keeps zeros unsigned
+
+    obj = np.ones(2 * n)
+    u, status = solve(obj)
+    if status != OPTIMAL:
         raise ConvergenceError("minimal-attainment pass infeasible")
-    rows.append(np.ones(2 * n))
-    rhs.append(sol.objective_value)
-    senses.append("==")
-
-    u = sol.x
     for j in range(n):
+        eq_rows.append(obj)
+        eq_rhs.append(float(obj @ u))
         obj = np.zeros(2 * n)
         obj[j] = 1.0
         obj[n + j] = -1.0
-        lp = linear_program(obj, np.vstack(rows), np.array(rhs), senses, bounds)
-        sol = lp_solve(lp, problem.options.tol)
-        if sol.status != OPTIMAL:
+        pinned, status = solve(obj)
+        if status != OPTIMAL:
             break
-        u = sol.x
-        rows.append(obj)
-        rhs.append(sol.objective_value)
-        senses.append("==")
+        u = pinned
     return u[:n] - u[n:]
 
 
@@ -211,15 +236,12 @@ def _minimal_attainment_pass(problem: SeqProblem, K: int, m0: float) -> np.ndarr
     coordinates, which shrinks the truncation matrix and its rank.  Runs
     with the same constraint generation as the primary solve.
     """
-    coords_all = problem.coordinate_matrix(K)
     work = np.arange(1, min(K, problem.options.truncation_start) + 1)
-    for _ in range(200):
-        c = _lex_min_l1_on_face(problem, coords_all[:, work - 1], m0)
-        fresh = _new_violations(coords_all.T @ c, work)
-        if fresh.size == 0:
-            return c
-        work = np.union1d(work, fresh)
-    raise ConvergenceError("minimal-attainment generation did not settle")
+    c, _, _ = _generate_constraints(
+        problem.coordinate_matrix(K), work,
+        lambda columns: _lex_min_l1_on_face(problem, columns, m0),
+        "minimal-attainment generation")
+    return c
 
 
 def dual_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> DualCertificate:
@@ -396,8 +418,7 @@ def _dual_norm_value(problem: SeqProblem, c: np.ndarray, K: int, q: float) -> fl
 
 
 def mni_solve_lp(problem: SeqProblem, p: float,
-                 truncation: Optional[int] = None,
-                 grad_tol: float = 1e-12, max_iters: int = 100_000) -> LpSolution:
+                 truncation: Optional[int] = None) -> LpSolution:
     """Minimum lp-norm interpolation via the smooth reciprocal dual.
 
     Minimizes ||sum_j c_j v_j||_q over the affine slice c.y = 1 by
@@ -432,14 +453,14 @@ def mni_solve_lp(problem: SeqProblem, p: float,
         converged = False
         grad_norm = math.inf
         J = math.inf
-        for _ in range(max_iters):
+        for _ in range(_LP_MAX_ITERS):
             u = V.T @ c
             J = float(np.sum(np.abs(u) ** q) ** (1.0 / q))
             gu = np.sign(u) * np.abs(u) ** (q - 1.0) / J ** (q - 1.0)
             grad = V @ gu
             grad -= y * (float(y @ grad) / yy)  # project onto {c.y = 1}
             grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= grad_tol * max(1.0, J):
+            if grad_norm <= _LP_GRAD_TOL * max(1.0, J):
                 converged = True
                 break
             step = 1.0
@@ -493,8 +514,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 def support_dependency_check(functionals: Sequence[SequenceFunctional],
-                             after: int, tol: float = 1e-9,
-                             max_window: int = 2 ** 15) -> str:
+                             after: int, tol: float = 1e-9) -> str:
     """Decide whether the tails of the functionals beyond ``after`` are
     linearly dependent.
 
@@ -502,19 +522,18 @@ def support_dependency_check(functionals: Sequence[SequenceFunctional],
     hence that no lp solution can be supported inside 1..after); rank
     deficiency certifies dependence only once the tail bounds vanish
     beyond the window.  Otherwise the window doubles, and the check
-    reports ``inconclusive`` if the cap is reached.
+    reports ``inconclusive`` once it reaches ``_MAX_DEPENDENCY_WINDOW``.
     """
     if after < 1:
         raise DomainError("after must be >= 1")
     n = len(functionals)
     window = max(16, 2 * n)
-    from .core import matrix_rank
     while True:
         block = np.vstack([f.coordinates(after + window)[after:] for f in functionals])
         if matrix_rank(block, tol) == n:
             return INDEPENDENT
         if all(f.tail_bound(after + window) == 0.0 for f in functionals):
             return DEPENDENT
-        if window >= max_window:
+        if window >= _MAX_DEPENDENCY_WINDOW:
             return INCONCLUSIVE
         window *= 2

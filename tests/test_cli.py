@@ -356,6 +356,9 @@ def test_demo_passes(capsys):
     out = capsys.readouterr().out
     assert "rank pair = (2, 1)" in out
     assert "all checks passed" in out
+    lines = out.splitlines()
+    assert "solver vertex c = [1, 0]" in lines
+    assert "minimal-attainment pass returned c = [0, 1]" in lines
 
 
 def test_demo_loose_tol_insensitive():
@@ -374,6 +377,29 @@ def test_missing_file_is_validation_error(tmp_path):
     code = cli.main(["solve", str(tmp_path / "nope.json"),
                      "--output", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("options", [
+    {"truncation_start": "abc"}, {"tol": "x"}, {"grid_step": "a"},
+    {"max_exchange_iters": None}, {"truncation_start": 2.7},
+    {"max_exchange_iters": 1.5}, {"tol": None}, {"truncation_start": True},
+    {"truncation_start": 10 ** 400},
+])
+def test_invalid_option_values_are_validation_errors(tmp_path, capsys, options):
+    doc = dict(WORKED_DOC, options=options)
+    code, text = _run(tmp_path, ["solve"], doc)
+    assert code == 2
+    assert text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == 2
+
+
+def test_whole_and_null_option_values_are_accepted(tmp_path):
+    doc = dict(WORKED_DOC, options={"truncation_start": 64.0, "grid_step": None,
+                                    "max_exchange_iters": 50, "tol": 1e-9})
+    code, text = _run(tmp_path, ["solve"], doc)
+    assert code == 0
+    assert json.loads(text)["provenance"]["options"]["truncation_start"] == 64
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

@@ -7,55 +7,59 @@ import pytest
 import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError
 import rkbs_sparse.optim as optim_mod
-from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, _crash_basis, _exact_residual,
-                               basis_pursuit, l1_column_simplex, lasso_residual,
-                               linear_program, lp_solve, prox_l1_solve)
+from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _crash_basis,
+                               _exact_residual, _solve_standard, basis_pursuit,
+                               l1_column_simplex, lasso_residual, prox_l1_solve)
 
 
-def test_lp_single_box_variable():
-    lp = linear_program([1.0], np.zeros((0, 1)), [], [], [(-1.0, 1.0)],
-                        maximize=True)
-    sol = lp_solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.x == pytest.approx([1.0])
-    assert sol.objective_value == pytest.approx(1.0)
+def _tableau(A, b, slack_rows=()):
+    """T = [A | one +1 slack column per row in ``slack_rows`` | b]."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    rows = np.asarray(slack_rows, dtype=int)
+    T = np.zeros((m, n + rows.size + 1))
+    T[:, :n] = A
+    T[rows, n + np.arange(rows.size)] = 1.0
+    T[:, -1] = b
+    return T
+
+
+def _cost(c, T):
+    cost = np.zeros(T.shape[1] - 1)
+    cost[:len(c)] = c
+    return cost
 
 
 def test_lp_two_constraints_vertex():
-    # max x1 + x2 s.t. x1 <= 1, x1/2 + x2 <= 1, both free below
-    lp = linear_program([1.0, 1.0], [[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0],
-                        ["<=", "<="], [(None, None), (None, None)],
-                        maximize=True)
-    sol = lp_solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == pytest.approx(1.5, abs=1e-9)
-    assert sol.x == pytest.approx([1.0, 0.5], abs=1e-9)
+    # max x1 + x2 s.t. x1 <= 1, x1/2 + x2 <= 1, x >= 0
+    T = _tableau([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], [0, 1])
+    x, status = _solve_standard(T, _cost([-1.0, -1.0], T), 1e-9)
+    assert status == OPTIMAL
+    assert x[:2] == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
 def test_lp_infeasible():
-    lp = linear_program([1.0], [[1.0], [1.0]], [0.0, 1.0], ["<=", ">="],
-                        [(None, None)])
-    assert lp_solve(lp).status == INFEASIBLE
+    # x <= 0 and x == 1 with x >= 0
+    T = _tableau([[1.0], [1.0]], [0.0, 1.0], [0])
+    assert _solve_standard(T, _cost([1.0], T), 1e-9)[1] == INFEASIBLE
 
 
 def test_lp_unbounded():
-    lp = linear_program([1.0], [[-1.0]], [0.0], ["<="], [(None, None)],
-                        maximize=True)
-    assert lp_solve(lp).status == "unbounded"
+    # min -x s.t. -x <= 0, x >= 0
+    T = _tableau([[-1.0]], [0.0], [0])
+    assert _solve_standard(T, _cost([-1.0], T), 1e-9)[1] == UNBOUNDED
 
 
 def test_lp_equality_and_lower_bounds():
     # min x1 + 2 x2 s.t. x1 + x2 == 3, x >= 0
-    lp = linear_program([1.0, 2.0], [[1.0, 1.0]], [3.0], ["=="],
-                        [(0.0, None), (0.0, None)])
-    sol = lp_solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.x == pytest.approx([3.0, 0.0], abs=1e-9)
+    x, status = _solve_standard(_tableau([[1.0, 1.0]], [3.0]), np.array([1.0, 2.0]), 1e-9)
+    assert status == OPTIMAL
+    assert x == pytest.approx([3.0, 0.0], abs=1e-9)
 
 
-def _enumerate_lp_optimum(c, A, b, maximize):
-    """Brute-force vertex enumeration over row intersections (bounded LPs
-    with all-free variables); independent of the simplex implementation."""
+def _enumerate_lp_optimum(c, A, b):
+    """Brute-force vertex enumeration over row intersections: max c.x
+    s.t. A x <= b, x free and bounded; independent of the simplex."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
@@ -67,12 +71,13 @@ def _enumerate_lp_optimum(c, A, b, maximize):
         x = np.linalg.solve(sub, b[list(rows)])
         if np.all(A @ x <= b + 1e-9):
             val = float(np.asarray(c) @ x)
-            if best is None or (val > best if maximize else val < best):
+            if best is None or val > best:
                 best = val
     return best
 
 
 def test_lp_matches_vertex_enumeration_on_random_instances():
+    # max c.x s.t. A x <= b over free x = x+ - x-, the shape of the l1 dual LP
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 60:
@@ -82,69 +87,51 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
         b = np.concatenate([np.round(rng.uniform(0.5, 2.5, m), 2),
                             np.full(n, 2.0)])
         c = np.round(rng.uniform(-1, 1, n), 2)
-        expected = _enumerate_lp_optimum(c, A, b, maximize=True)
+        expected = _enumerate_lp_optimum(c, A, b)
         if expected is None:
             continue
-        lp = linear_program(c, A, b, ["<="] * (m + n), [(None, None)] * n,
-                            maximize=True)
-        sol = lp_solve(lp)
-        if sol.status != OPTIMAL:
+        T = _tableau(np.hstack([A, -A]), b, np.arange(m + n))
+        u, status = _solve_standard(T, _cost(np.concatenate([-c, c]), T), 1e-9)
+        if status != OPTIMAL:
             continue
-        assert sol.objective_value == pytest.approx(expected, abs=1e-9)
+        assert float(c @ (u[:n] - u[n:2 * n])) == pytest.approx(expected, abs=1e-9)
         checked += 1
 
 
-def _random_bounds(rng, n):
-    """One (lower, upper) pair per variable: free, lower-only, upper-only or boxed."""
-    out = []
-    for kind in rng.integers(0, 4, n):
-        lo = float(np.round(rng.uniform(-2, 0.5), 2))
-        hi = lo + float(np.round(rng.uniform(0.5, 3), 2))
-        out.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
-    return out
-
-
 def test_lp_reductions_match_highs_on_random_instances():
-    # every reduction lp_solve makes: free splits, shifted lower bounds,
-    # mirrored upper bounds, box rows, <= / >= / == rows with right-hand
-    # sides of either sign (row flips, surplus columns), min and max
+    # every reduction _solve_standard makes: row flips for right-hand sides
+    # of either sign, the slack crash basis of <= rows and the phase-1
+    # artificials of == rows, over x >= 0
     from scipy.optimize import linprog
     rng = np.random.default_rng(20240607)
-    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: "unbounded"}
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     seen = set()
     for _ in range(300):
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         A = np.round(rng.uniform(-2, 2, (m, n)), 2)
         b = np.round(rng.uniform(-2, 2, m), 2)
         c = np.round(rng.uniform(-1, 1, n), 2)
-        senses = [["<=", ">=", "=="][k] for k in rng.integers(0, 3, m)]
-        bounds = _random_bounds(rng, n)
-        maximize = bool(rng.integers(0, 2))
-        sol = lp_solve(linear_program(c, A, b, senses, bounds, maximize=maximize))
+        le = rng.integers(0, 2, m) == 1
+        T = _tableau(A, b, np.flatnonzero(le))
+        x, status = _solve_standard(T, _cost(c, T), 1e-9)
 
-        le = [i for i, s in enumerate(senses) if s == "<="]
-        ge = [i for i, s in enumerate(senses) if s == ">="]
-        eq = [i for i, s in enumerate(senses) if s == "=="]
-        A_ub = np.vstack([A[le], -A[ge]])
-        b_ub = np.concatenate([b[le], -b[ge]])
-        ref = linprog(-c if maximize else c, A_ub=A_ub if A_ub.size else None,
-                      b_ub=b_ub if A_ub.size else None, A_eq=A[eq] if eq else None,
-                      b_eq=b[eq] if eq else None, bounds=bounds, method="highs")
-        assert sol.status == statuses[ref.status]
-        seen.add(sol.status)
-        if sol.status != OPTIMAL:
+        ref = linprog(c, A_ub=A[le] if le.any() else None,
+                      b_ub=b[le] if le.any() else None,
+                      A_eq=A[~le] if not le.all() else None,
+                      b_eq=b[~le] if not le.all() else None,
+                      bounds=(0, None), method="highs")
+        assert status == statuses[ref.status]
+        seen.add(status)
+        if status != OPTIMAL:
             continue
-        assert sol.objective_value == pytest.approx(-ref.fun if maximize else ref.fun,
-                                                    abs=1e-9)
-        x, Ax = sol.x, A @ sol.x
+        x = x[:n]
+        assert float(c @ x) == pytest.approx(ref.fun, abs=1e-9)
+        Ax = A @ x
         feas = 1e-9 * (1.0 + np.abs(b))
         assert np.all(Ax[le] <= b[le] + feas[le])
-        assert np.all(Ax[ge] >= b[ge] - feas[ge])
-        assert np.all(np.abs(Ax[eq] - b[eq]) <= feas[eq])
-        for xj, (lo, hi) in zip(x, bounds):
-            assert lo is None or xj >= lo - 1e-9
-            assert hi is None or xj <= hi + 1e-9
-    assert seen == {OPTIMAL, INFEASIBLE, "unbounded"}
+        assert np.all(np.abs(Ax[~le] - b[~le]) <= feas[~le])
+        assert np.all(x >= -1e-9)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
 def test_crash_basis_matches_column_loop():
@@ -337,14 +324,22 @@ def test_basis_pursuit_matches_enumeration_oracle():
 
 
 def test_basis_pursuit_midpoint_of_perturbed_optima():
-    # non-unique instance: objective perturbation exposes two vertices
+    # non-unique instance: objective perturbation exposes two vertices of
+    # the split basis-pursuit LP over [alpha+, alpha-]
     L = np.array([[1.0, 1.0]])
     y = np.array([1.0])
-    first = basis_pursuit(L, y, weights=np.array([1.0, 1.0 + 1e-6]))
-    second = basis_pursuit(L, y, weights=np.array([1.0 + 1e-6, 1.0]))
-    assert first.x == pytest.approx([1.0, 0.0], abs=1e-9)
-    assert second.x == pytest.approx([0.0, 1.0], abs=1e-9)
-    mid = 0.5 * (first.x + second.x)
+
+    def perturbed(w):
+        u, status = _solve_standard(_tableau(np.hstack([L, -L]), y),
+                                    np.concatenate([w, w]), 1e-9)
+        assert status == OPTIMAL
+        return u[:2] - u[2:]
+
+    first = perturbed(np.array([1.0, 1.0 + 1e-6]))
+    second = perturbed(np.array([1.0 + 1e-6, 1.0]))
+    assert first == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert second == pytest.approx([0.0, 1.0], abs=1e-9)
+    mid = 0.5 * (first + second)
     assert float(np.max(np.abs(L @ mid - y))) <= 1e-12
     assert float(np.sum(np.abs(mid))) == pytest.approx(1.0, abs=1e-12)
 
@@ -380,11 +375,12 @@ def test_prox_output_passes_lambda_certificate():
         assert lasso_residual(L, alpha, y, lam) <= 1e-10
 
 
-def test_prox_iteration_cap_raises_with_residual():
+def test_prox_iteration_cap_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(optim_mod, "_PROX_MAX_ITERS", 5)
     L = np.array([[1.0, 0.999999], [0.999999, 1.0]])
     y = np.array([1.0, -1.0])
     with pytest.raises(ConvergenceError) as err:
-        prox_l1_solve(L, y, 1e-8, tol=1e-16, max_iters=5)
+        prox_l1_solve(L, y, 1e-8, tol=1e-16)
     assert math.isfinite(err.value.residual)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import rkbs_sparse as rk
-from rkbs_sparse.core import DomainError
+from rkbs_sparse import regpath
+from rkbs_sparse.core import ConvergenceError, DomainError
 from rkbs_sparse.regpath import (RegProblem, lambda_certificate, lambda_max,
                                  reg_mni_consistency, reg_solve,
                                  solution_certificate, sparsity_path)
@@ -239,6 +240,21 @@ def test_path_norm_monotone_in_lambda(worked_example):
     norms = [r.l1_norm for r in rows]
     assert all(b <= a + 1e-8 for a, b in zip(norms, norms[1:]))
     assert rows[-1].atom_count == 0  # beyond lambda_max = 2
+
+
+def test_path_records_solver_errors_and_raises_others(unit_pair_problem, monkeypatch):
+    def fail(exc):
+        def solve(problem):
+            raise exc
+        return solve
+
+    monkeypatch.setattr(regpath, "reg_solve", fail(ConvergenceError("no fit")))
+    row, = sparsity_path(unit_pair_problem, [0.5])
+    assert (row.error, row.atom_count) == ("no fit", -1)
+    assert math.isnan(row.l1_norm) and math.isnan(row.objective)
+    monkeypatch.setattr(regpath, "reg_solve", fail(TypeError("bug")))
+    with pytest.raises(TypeError):
+        sparsity_path(unit_pair_problem, [0.5])
 
 
 def test_path_rejects_unsorted(unit_pair_problem):
