@@ -193,11 +193,11 @@ def parse_problem(doc: Any, option_overrides: Dict[str, Any]) -> ParsedProblem:
         for key in ("sigma", "centers", "domain"):
             if key in doc:
                 raise ValidationError(f"field {key!r} is only valid for gaussian-measure")
-        functionals = [_parse_functional(f, f"functionals[{i}]")
-                       for i, f in enumerate(doc["functionals"])]
-        if len(functionals) != len(y):
-            raise ValidationError("functionals and y lengths differ")
         try:
+            functionals = [_parse_functional(f, f"functionals[{i}]")
+                           for i, f in enumerate(doc["functionals"])]
+            if len(functionals) != len(y):
+                raise ValidationError("functionals and y lengths differ")
             base = seq_problem(functionals, y, options)
         except DomainError as exc:
             raise ValidationError(str(exc))

@@ -83,6 +83,8 @@ class SequenceFunctional:
         if self.kind == "scaled-sum":
             if len(self.weights) != len(self.children) or not self.children:
                 raise DomainError("scaled-sum needs matching weights and children")
+            if not all(math.isfinite(w) for w in self.weights):
+                raise DomainError("scaled-sum weights must be finite")
 
     def eval(self, k: int) -> float:
         """Exact coordinate value v_k, k >= 1."""

@@ -19,7 +19,11 @@ localize it accurately.  Two safeguards deal with this: refined maxima
 are replaced by the midpoint of a tiny level-set plateau (exact for the
 symmetric flat case), and the final primal-dual pair is polished by a
 Newton iteration on the joint stationarity system, whose interpolation
-rows pin the atom locations with full quadratic convergence.
+rows pin the atom locations with full quadratic convergence.  The
+plateau search is batched: both edges of every seed of a scan share one
+kernel call per stage, a doubling stage and then bisection stages of 63
+points per bracket, so a scan costs about ten kernel calls however many
+maxima it refines.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .optim import OPTIMAL, basis_pursuit, l1_column_simplex
 _DERIV_TOL = 1e-10
 _FLAT_EPS = 1e-12
 _MAX_SCAN_POINTS = 2 ** 20  # the exchange method densifies its scan grid up to this
+_STAGE_POINTS = 63  # points per bracket in one bisection stage of the plateau search
 
 
 def _kernel(problem: GaussProblem, t) -> np.ndarray:
@@ -80,10 +85,9 @@ def _eval_second(c: np.ndarray, problem: GaussProblem, x: float) -> float:
 
 
 def _refine_maximum(c: np.ndarray, problem: GaussProblem, t0: float,
-                    step: float) -> float:
-    """Polish a local maximum of |g| by safeguarded Newton on g'."""
+                    step: float, s: float) -> float:
+    """Polish a local maximum of |g| = s*g by safeguarded Newton on g'."""
     lo, hi = problem.domain
-    s = 1.0 if gauss_eval(c, problem, t0) >= 0 else -1.0
 
     def d1(t):
         return s * gauss_eval_deriv(c, problem, t)
@@ -112,53 +116,60 @@ def _refine_maximum(c: np.ndarray, problem: GaussProblem, t0: float,
     return t
 
 
-def _plateau_midpoint(c: np.ndarray, problem: GaussProblem, t_hat: float) -> float:
-    """Replace t_hat by the midpoint of the level-set plateau around it.
+def _plateau_midpoints(c: np.ndarray, problem: GaussProblem, ts) -> List[float]:
+    """Replace each seed t by the midpoint of the level-set plateau around it.
 
-    The plateau is where |g| stays within a relative 1e-12 of |g(t_hat)|.
+    The plateau is where |g| stays within a relative 1e-12 of |g(t)|.
     For a symmetric flat maximum the two crossings mirror each other, so
     the midpoint lands on the true maximizer even when derivative
-    information is below the noise floor.
+    information is below the noise floor.  Both edges of every seed are
+    searched together, one kernel call per stage: the doubling stage
+    steps out to t -+ sigma*1e-7*2^k (k = 0..23) and brackets each edge
+    by the first point below the level; each bisection stage then
+    evaluates ``_STAGE_POINTS`` evenly spaced points inside every bracket
+    wider than sigma*1e-13 and keeps the first point below the level and
+    the point before it.  A seed stays where |g| is zero, where its
+    plateau reaches the domain edge or runs a full sigma, and where |g|
+    at the midpoint is below |g| at the seed.
     """
+    ts = np.asarray(ts, dtype=float)
     lo, hi = problem.domain
-    base = abs(gauss_eval(c, problem, t_hat))
-    if base == 0.0:
-        return t_hat
+    base = np.abs(gauss_eval(c, problem, ts))
     theta = base * (1.0 - _FLAT_EPS)
 
-    def above(t):
-        return abs(gauss_eval(c, problem, t)) >= theta
+    # doubling stage, shape (seed, edge, k); each edge closes at its first
+    # point outside the domain or below the level
+    steps = problem.sigma * 1e-7 * 2.0 ** np.arange(24)
+    probes = ts[:, None, None] + np.array([-1.0, 1.0])[:, None] * steps
+    inside = (probes > lo) & (probes < hi)
+    above = inside & (np.abs(gauss_eval(c, problem, probes)) >= theta[:, None, None])
+    k = np.argmin(above, axis=2)[..., None]
+    closed = ~np.take_along_axis(above, k, 2) & np.take_along_axis(inside, k, 2)
+    ok = np.all(closed[..., 0], axis=1) & (base > 0.0)
+    t_out = np.take_along_axis(probes, k, 2)[ok].ravel()
+    t_in = np.where(k > 0, np.take_along_axis(probes, np.maximum(k - 1, 0), 2),
+                    ts[:, None, None])[ok].ravel()
 
-    edges = []
-    for direction in (-1.0, 1.0):
-        h = problem.sigma * 1e-7
-        t_in = t_hat
-        t_out = None
-        while h <= problem.sigma:
-            t_try = t_hat + direction * h
-            if t_try <= lo or t_try >= hi:
-                break
-            if above(t_try):
-                t_in = t_try
-                h *= 2.0
-            else:
-                t_out = t_try
-                break
-        if t_out is None:
-            return t_hat  # plateau runs into the domain edge; keep the seed
-        for _ in range(80):
-            mid = 0.5 * (t_in + t_out)
-            if above(mid):
-                t_in = mid
-            else:
-                t_out = mid
-            if abs(t_out - t_in) <= problem.sigma * 1e-13:
-                break
-        edges.append(0.5 * (t_in + t_out))
-    mid = 0.5 * (edges[0] + edges[1])
-    if abs(gauss_eval(c, problem, mid)) >= base:
-        return mid
-    return t_hat
+    # bisection stages over every bracket still wider than sigma*1e-13
+    levels = np.repeat(theta[ok], 2)
+    frac = np.arange(_STAGE_POINTS + 2) / (_STAGE_POINTS + 1.0)
+    for _ in range(14):  # as fine as the 80 halvings of plain bisection
+        rows = np.nonzero(np.abs(t_out - t_in) > problem.sigma * 1e-13)[0]
+        if rows.size == 0:
+            break
+        pts = t_in[rows, None] + (t_out - t_in)[rows, None] * frac
+        pts[:, -1] = t_out[rows]
+        below = np.abs(gauss_eval(c, problem, pts[:, 1:-1])) < levels[rows, None]
+        j = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1,
+                     _STAGE_POINTS + 1)
+        t_in[rows] = pts[np.arange(rows.size), j - 1]
+        t_out[rows] = pts[np.arange(rows.size), j]
+
+    edges = (0.5 * (t_in + t_out)).reshape(-1, 2)
+    mids = 0.5 * (edges[:, 0] + edges[:, 1])
+    out = ts.copy()
+    out[ok] = np.where(np.abs(gauss_eval(c, problem, mids)) >= base[ok], mids, ts[ok])
+    return out.tolist()
 
 
 def _grid(problem: GaussProblem, step: float) -> np.ndarray:
@@ -178,18 +189,15 @@ def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
                  keep_above: float) -> Tuple[float, List[float]]:
     """Grid supremum of |g| and refined local maxima above ``keep_above``."""
     grid = _grid(problem, step)
-    vals = np.abs(gauss_eval(c, problem, grid))
+    g = gauss_eval(c, problem, grid)
+    vals = np.abs(g)
     sup = float(np.max(vals))
     curv = float(np.sum(np.abs(c))) / problem.sigma ** 2
     slack = 0.5 * step * step * curv
-    seeds = [float(grid[i]) for i in _local_maxima(vals)
-             if vals[i] >= keep_above - slack]
-    refined = []
-    for t0 in seeds:
-        t = _refine_maximum(c, problem, t0, step)
-        t = _plateau_midpoint(c, problem, t)
-        refined.append(t)
-    return sup, refined
+    refined = [_refine_maximum(c, problem, float(grid[i]), step,
+                               1.0 if g[i] >= 0 else -1.0)
+               for i in _local_maxima(vals) if vals[i] >= keep_above - slack]
+    return sup, _plateau_midpoints(c, problem, refined)
 
 
 def _merge_points(c: np.ndarray, problem: GaussProblem,
@@ -197,38 +205,35 @@ def _merge_points(c: np.ndarray, problem: GaussProblem,
     """Dedup within sigma*1e-6, then merge plateau-connected neighbours."""
     if not points:
         return []
-    pts = sorted(points)
+    pts = np.sort(np.asarray(points, dtype=float))
+    vals = np.abs(gauss_eval(c, problem, pts))
     radius = problem.sigma * 1e-6
-
-    def absg(t):
-        return abs(gauss_eval(c, problem, t))
-
-    merged = [pts[0]]
-    for t in pts[1:]:
-        if t - merged[-1] < radius:
-            if absg(t) > absg(merged[-1]):
-                merged[-1] = t
+    keep = [0]
+    for i in range(1, pts.size):
+        if pts[i] - pts[keep[-1]] < radius:
+            if vals[i] > vals[keep[-1]]:
+                keep[-1] = i
         else:
-            merged.append(t)
+            keep.append(i)
+    merged, vals = pts[keep], vals[keep]
 
     # flat tops can leave mirror twins: if |g| never dips between two
-    # points they share one maximum, so collapse them through the plateau
-    changed = True
-    while changed and len(merged) > 1:
-        changed = False
-        out = [merged[0]]
-        for t in merged[1:]:
-            prev = out[-1]
-            samples = np.linspace(prev, t, 9)[1:-1]
-            level = min(absg(prev), absg(t)) * (1.0 - 1e-9)
-            if np.all(np.abs(gauss_eval(c, problem, samples)) >= level):
-                rep = _plateau_midpoint(c, problem, 0.5 * (prev + t))
-                out[-1] = max((prev, t, rep), key=absg)
-                changed = True
-            else:
-                out.append(t)
-        merged = out
-    return merged
+    # neighbours they share one maximum, so collapse the leftmost such
+    # pair through the plateau and test every pair again
+    while merged.size > 1:
+        samples = np.linspace(merged[:-1], merged[1:], 9, axis=1)[:, 1:-1]
+        level = np.minimum(vals[:-1], vals[1:]) * (1.0 - 1e-9)
+        twin = np.all(np.abs(gauss_eval(c, problem, samples)) >= level[:, None], axis=1)
+        if not twin.any():
+            break
+        i = int(np.argmax(twin))
+        rep = _plateau_midpoints(c, problem, [0.5 * (merged[i] + merged[i + 1])])[0]
+        cands = np.array([merged[i], merged[i + 1], rep])
+        cvals = np.r_[vals[i:i + 2], abs(gauss_eval(c, problem, rep))]
+        best = int(np.argmax(cvals))
+        merged[i], vals[i] = cands[best], cvals[best]
+        merged, vals = np.delete(merged, i + 1), np.delete(vals, i + 1)
+    return merged.tolist()
 
 
 def find_attainment_points(c: Sequence[float], problem: GaussProblem,
@@ -259,10 +264,9 @@ def find_attainment_points(c: Sequence[float], problem: GaussProblem,
     sup = float(vals[imax])
     _, refined = _scan_maxima(c, problem, step, keep_above=sup * (1.0 - attain))
     refined = _merge_points(c, problem, refined)
-    sup_ref = max([abs(gauss_eval(c, problem, t)) for t in refined] + [sup])
-    out = [t for t in refined
-           if abs(gauss_eval(c, problem, t)) >= sup_ref * (1.0 - attain)]
-    return sorted(out)
+    vals = np.abs(gauss_eval(c, problem, np.asarray(refined)))
+    sup_ref = float(np.max(vals, initial=sup))
+    return sorted(t for t, v in zip(refined, vals) if v >= sup_ref * (1.0 - attain))
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ def _certificate(problem: GaussProblem, c: np.ndarray, iters: int,
         if abs(gauss_eval_deriv(c, problem, t)) > 1e-6:
             raise ConvergenceError(
                 f"attainment point {t:g} is not stationary", residual=violation)
-    sup = max(abs(gauss_eval(c, problem, t)) for t in points)
+    sup = float(np.max(np.abs(gauss_eval(c, problem, np.asarray(points)))))
     m0 = float(problem.y_vector() @ c)
     return ContinuousDualCertificate(
         coefficients=tuple(float(v) for v in c), value=m0,
@@ -343,9 +347,9 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
         basic, signs = [working[j] for j in lp.cols], lp.signs
         c = lp.dual
         sup, refined = _scan_maxima(c, problem, step, keep_above=1.0)
-        cand = [(abs(gauss_eval(c, problem, t)), t) for t in refined]
-        cand = [tc for tc in cand if tc[0] > 1.0]
-        cand.sort(reverse=True)
+        vals = np.abs(gauss_eval(c, problem, np.asarray(refined)))
+        cand = sorted(((float(v), t) for v, t in zip(vals, refined) if v > 1.0),
+                      reverse=True)
         violation = max(sup - 1.0, cand[0][0] - 1.0 if cand else -math.inf)
         if violation <= problem.options.attain_tol:
             return _certificate(problem, c, it, max(violation, 0.0))
@@ -546,7 +550,7 @@ def mni_solve_measure(problem: GaussProblem) -> SparseMeasure:
                 final_sites.append(t)
         final_sites = sorted(final_sites)
         m0 = float(y @ c)
-        sup = max(abs(gauss_eval(c, problem, t)) for t in final_sites)
+        sup = float(np.max(np.abs(gauss_eval(c, problem, np.asarray(final_sites)))))
         cert = ContinuousDualCertificate(
             coefficients=tuple(float(v) for v in c), value=m0,
             attain_points=tuple(final_sites), sup_norm=m0 * sup,

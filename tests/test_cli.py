@@ -123,6 +123,20 @@ def test_nested_functional_fields_validated(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("functional", [
+    {"kind": "scaled-sum", "weights": [math.nan], "children": [{"kind": "harmonic"}]},
+    {"kind": "scaled-sum", "weights": [math.inf], "children": [{"kind": "harmonic"}]},
+    {"kind": "finite", "values": [math.nan]},
+    {"kind": "geometric", "ratio": 2.0},
+])
+def test_invalid_functional_is_validation_error(tmp_path, capsys, functional):
+    doc = dict(WORKED_DOC, functionals=[functional, {"kind": "harmonic"}])
+    code, text = _run(tmp_path, ["solve"], doc)
+    assert code == 2
+    assert text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"]["code"] == 2
+
+
 def test_task_and_space_cross_validation(tmp_path):
     doc = dict(WORKED_DOC)
     doc["sigma"] = 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,12 @@ def test_coordinates_matches_eval():
 def test_geometric_rejects_unit_ratio():
     with pytest.raises(DomainError):
         rk.geometric(1.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_scaled_sum_rejects_non_finite_weights(weight):
+    with pytest.raises(DomainError):
+        rk.scaled_sum([1.0, weight], [rk.harmonic(), rk.geometric(0.5)])
 
 
 def test_options_validation():

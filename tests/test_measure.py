@@ -342,3 +342,151 @@ def test_exchange_certifies_jittered_linspace_entries(index):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-500:]
     assert float(done.stdout.split()[-1]) <= 1.0 + 2e-7
+
+
+def _plateau_midpoint_reference(c, problem, t_hat):
+    """One seed at a time: double out to each plateau edge, then bisect."""
+    lo, hi = problem.domain
+    base = abs(gauss_eval(c, problem, t_hat))
+    if base == 0.0:
+        return t_hat
+    theta = base * (1.0 - 1e-12)
+    edges = []
+    for direction in (-1.0, 1.0):
+        h, t_in, t_out = problem.sigma * 1e-7, t_hat, None
+        while h <= problem.sigma:
+            t_try = t_hat + direction * h
+            if t_try <= lo or t_try >= hi:
+                break
+            if abs(gauss_eval(c, problem, t_try)) < theta:
+                t_out = t_try
+                break
+            t_in, h = t_try, 2.0 * h
+        if t_out is None:
+            return t_hat
+        for _ in range(80):
+            mid = 0.5 * (t_in + t_out)
+            if abs(gauss_eval(c, problem, mid)) >= theta:
+                t_in = mid
+            else:
+                t_out = mid
+            if abs(t_out - t_in) <= problem.sigma * 1e-13:
+                break
+        edges.append(0.5 * (t_in + t_out))
+    mid = 0.5 * (edges[0] + edges[1])
+    return mid if abs(gauss_eval(c, problem, mid)) >= base else t_hat
+
+
+def _family_problem(index):
+    # entry ``index`` of the jittered-linspace family used above
+    rng = np.random.default_rng([20240607, index])
+    n = (8, 12, 16)[index % 3]
+    centers = np.sort(np.linspace(-8.0, 8.0, n) + rng.uniform(-0.1, 0.1, n))
+    return rk.gauss_problem(centers, 1.0, rng.uniform(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("index", [0, 4, 8])
+def test_plateau_search_matches_scalar_reference(monkeypatch, index):
+    # every plateau search of a full solve, seed by seed against the
+    # doubling-plus-bisection reference
+    import rkbs_sparse.measure as measure_mod
+    problem = _family_problem(index)
+    searched = []
+    batched = measure_mod._plateau_midpoints
+
+    def recording(c, problem, ts):
+        out = batched(c, problem, ts)
+        searched.append((np.array(c), list(ts), out))
+        return out
+
+    monkeypatch.setattr(measure_mod, "_plateau_midpoints", recording)
+    mni_solve_measure(problem)
+    assert sum(len(ts) for _, ts, _ in searched) >= 50
+    eps = np.finfo(float).eps
+    for c, ts, out in searched:
+        assert len(out) == len(ts)
+        for t_hat, t in zip(ts, out):
+            ref = _plateau_midpoint_reference(c, problem, t_hat)
+            g_ref = abs(gauss_eval(c, problem, ref))
+            # rounding of g, eps * sum |c_j K_j|, blurs each plateau edge
+            # by that over the slope of |g| at the level, sqrt(2e-12 g g'')
+            # near a quadratic maximum: the two searches sample different
+            # points of that band
+            noise = eps * float(measure_mod._kernel(problem, ref) @ np.abs(c))
+            curv = abs(float(measure_mod._kernel_dtt(problem, ref) @ c))
+            band = noise / math.sqrt(2e-12 * g_ref * curv)
+            assert abs(t - ref) <= problem.sigma * 1e-12 + 2.0 * band
+            assert abs(gauss_eval(c, problem, t)) >= g_ref - 4.0 * noise
+        # a seed a quarter sigma down a slope has steep plateau edges, so
+        # both searches must agree to the bisection tolerance
+        slopes = np.r_[np.asarray(ts) - 0.25, np.asarray(ts) + 0.25]
+        for t_hat, t in zip(slopes, batched(c, problem, slopes)):
+            ref = _plateau_midpoint_reference(c, problem, float(t_hat))
+            assert t != t_hat
+            assert abs(t - ref) <= problem.sigma * 1e-12
+
+
+def test_plateau_search_keeps_seed_where_g_vanishes():
+    from rkbs_sparse.measure import _plateau_midpoints
+    p = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    c = np.array([1.0, -1.0])  # odd combination: g(0) = 0 exactly
+    alone = _plateau_midpoints(c, p, [-1.2])[0]
+    assert alone != -1.2
+    together = _plateau_midpoints(c, p, [0.0, -1.2])
+    assert together[0] == 0.0
+    assert together[1] == pytest.approx(alone, abs=1e-12)
+
+
+def test_plateau_search_keeps_seed_whose_plateau_reaches_the_domain_edge():
+    from rkbs_sparse.measure import _plateau_midpoints
+    # g = K(0, .) - e^5.4 K(1, .) vanishes at -4.9, and |g| rises from there
+    # toward t = -5, so left of the seed it stays above |g(seed)| out to
+    # the domain edge at -5 (and beyond, to a maximum near -5.1)
+    c = np.array([1.0, -math.exp(5.4)])
+    seed = -4.99
+    narrow = rk.gauss_problem([0.0, 1.0], 1.0, [1.0, 1.0])
+    assert narrow.domain[0] == -5.0
+    assert _plateau_midpoints(c, narrow, [seed]) == [seed]
+    wide = rk.gauss_problem([0.0, 1.0], 1.0, [1.0, 1.0], domain=(-7.0, 6.0))
+    moved = _plateau_midpoints(c, wide, [seed])[0]
+    assert moved < seed - 0.05
+    assert abs(gauss_eval(c, wide, moved)) > abs(gauss_eval(c, wide, seed))
+
+
+def test_merge_collapses_plateau_twins_into_one_point():
+    from rkbs_sparse.measure import _merge_points
+    # separation twice the bandwidth: |g| is quartically flat around 0, so
+    # points 1e-4 apart never see it dip and merge into one; which of them
+    # is kept depends on the rounding of |g| there
+    p = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    c = np.full(2, SQRT_E / 2.0)
+    merged = _merge_points(c, p, [3e-4, -2e-4, 1e-4, 1e-4 + 1e-8])
+    assert len(merged) == 1
+    assert -2e-4 <= merged[0] <= 3e-4
+    far = rk.gauss_problem([-3.0, 3.0], 1.0, [1.0, 1.0])
+    assert _merge_points(np.ones(2), far, [3.0, -3.0]) == [-3.0, 3.0]
+
+
+def test_scan_kernel_calls_do_not_grow_with_seeds(monkeypatch):
+    # one grid evaluation plus a fixed number of batched plateau stages,
+    # however many local maxima the scan refines
+    import rkbs_sparse.measure as measure_mod
+    calls = []
+    evaluate = measure_mod.gauss_eval
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(measure_mod, "gauss_eval", counting)
+    counts = {}
+    for n in (3, 31):
+        centers = np.linspace(-3.0 * (n - 1), 3.0 * (n - 1), n)
+        p = rk.gauss_problem(centers, 1.0, np.ones(n))
+        c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        calls.clear()
+        _, refined = measure_mod._scan_maxima(c, p, p.grid_step(), keep_above=0.5)
+        assert len(refined) == n
+        counts[n] = len(calls)
+    assert counts[31] <= counts[3] + 2
+    assert counts[31] <= 18
