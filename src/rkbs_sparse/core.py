@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 
 class RkbsError(Exception):
@@ -314,17 +313,44 @@ def gauss_problem(centers: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def matrix_rank(array: np.ndarray, tol: float) -> int:
-    """Numerical rank via column-pivoted QR, threshold tol*max(n,m)*||A||_inf."""
+    """Numerical rank: the |R_kk| of a column-pivoted QR above tol*max(m,n)*max|a_ij|.
+
+    Householder QR with the column pivoting of Businger & Golub (1965):
+    each step moves the remaining column of largest norm to the front,
+    so |R_kk| is that norm, and reflects it onto the first axis.  The
+    |R_kk| do not increase, so the count stops at the first one at or
+    below the threshold.
+    """
     a = np.atleast_2d(np.asarray(array, dtype=float))
     if a.size == 0:
         return 0
-    scale = np.max(np.abs(a))
+    scale = float(np.abs(a).max())
+    if not math.isfinite(scale):
+        raise DomainError("matrix_rank needs finite entries")
     if scale == 0.0:
         return 0
-    thresh = tol * max(a.shape) * scale
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    return int(np.sum(diag > thresh))
+    # an exact power-of-two rescale keeps the squared norms clear of
+    # under- and overflow; the copy is the one the steps overwrite
+    mant, exp = math.frexp(scale)
+    a = np.ldexp(a, -exp)
+    m, n = a.shape
+    thresh = tol * max(m, n) * mant
+    for k in range(min(m, n)):
+        rest = a[k:, k:]
+        norms = np.einsum("ij,ij->j", rest, rest)
+        p = int(norms.argmax())
+        r_kk = math.sqrt(norms[p])
+        if not r_kk > thresh:
+            return k
+        v = rest[:, p].copy()
+        rest[:, p] = rest[:, 0]
+        # I - v v^T / (r_kk (r_kk + |x_0|)) with v = x + sign(x_0) r_kk e_1
+        # maps the pivot column x to -sign(x_0) r_kk e_1
+        x0 = v[0]
+        v[0] += math.copysign(r_kk, x0)
+        tail = rest[:, 1:]
+        tail -= np.outer(v / (r_kk * (r_kk + abs(x0))), v @ tail)
+    return min(m, n)
 
 
 @dataclass(frozen=True)

@@ -186,12 +186,25 @@ def _local_maxima(vals: np.ndarray) -> np.ndarray:
 
 
 def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
-                 keep_above: float) -> Tuple[float, List[float]]:
-    """Grid supremum of |g| and refined local maxima above ``keep_above``."""
+                 keep_above: float, relative: bool = False) -> Tuple[float, List[float]]:
+    """Grid supremum of |g| and refined local maxima above ``keep_above``.
+
+    With ``relative`` the level is ``keep_above`` times the grid supremum,
+    and a supremum within one grid step of the domain boundary raises
+    DomainError, which signals that the domain needs widening.
+    """
     grid = _grid(problem, step)
     g = gauss_eval(c, problem, grid)
     vals = np.abs(g)
-    sup = float(np.max(vals))
+    imax = int(np.argmax(vals))
+    sup = float(vals[imax])
+    if relative:
+        lo, hi = problem.domain
+        if grid[imax] <= lo + step or grid[imax] >= hi - step:
+            raise DomainError(
+                "supremum attained at the domain boundary; enlarge the domain "
+                f"(currently [{lo:g}, {hi:g}])")
+        keep_above *= sup
     curv = float(np.sum(np.abs(c))) / problem.sigma ** 2
     slack = 0.5 * step * step * curv
     refined = [_refine_maximum(c, problem, float(grid[i]), step,
@@ -253,16 +266,7 @@ def find_attainment_points(c: Sequence[float], problem: GaussProblem,
     step = grid_step if grid_step is not None else problem.grid_step()
     attain = attain_tol if attain_tol is not None else problem.options.attain_tol
 
-    grid = _grid(problem, step)
-    vals = np.abs(gauss_eval(c, problem, grid))
-    imax = int(np.argmax(vals))
-    lo, hi = problem.domain
-    if grid[imax] <= lo + step or grid[imax] >= hi - step:
-        raise DomainError(
-            "supremum attained at the domain boundary; enlarge the domain "
-            f"(currently [{lo:g}, {hi:g}])")
-    sup = float(vals[imax])
-    _, refined = _scan_maxima(c, problem, step, keep_above=sup * (1.0 - attain))
+    sup, refined = _scan_maxima(c, problem, step, 1.0 - attain, relative=True)
     refined = _merge_points(c, problem, refined)
     vals = np.abs(gauss_eval(c, problem, np.asarray(refined)))
     sup_ref = float(np.max(vals, initial=sup))

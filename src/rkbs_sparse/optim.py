@@ -101,7 +101,10 @@ def _solve_standard(T: np.ndarray, cost: np.ndarray,
     Rows with negative b are flipped.  A crash basis is read off
     structural singleton +1 columns (the slacks of inequality rows); only
     rows without one receive an artificial variable, so pure inequality
-    problems skip phase 1 entirely.
+    problems skip phase 1 entirely.  An ``optimal`` x is rechecked
+    against the unpivoted constraints; ConvergenceError carrying
+    max(||Ax - b||_inf, -min x) is raised unless
+    ||Ax - b||_inf <= tol (1 + ||b||_inf) and x >= -tol.
     """
     m, n = T.shape[0], T.shape[1] - 1
     T[T[:, -1] < 0] *= -1.0
@@ -110,6 +113,13 @@ def _solve_standard(T: np.ndarray, cost: np.ndarray,
 
     basis = _crash_basis(A)
     need = np.nonzero(basis == -1)[0]
+    # the recheck keeps a copy of the unpivoted constraints: b and every
+    # column but the crash columns, which are unit vectors
+    crash_rows = np.nonzero(basis >= 0)[0]
+    crash_cols = basis[crash_rows]
+    dense = np.ones(n, dtype=bool)
+    dense[crash_cols] = False
+    A_dense, b_orig = A[:, dense], b.copy()
 
     if need.size:
         k = need.size
@@ -152,6 +162,16 @@ def _solve_standard(T: np.ndarray, cost: np.ndarray,
     status = _bland_phase(T, basis, cost, _PIVOT_TOL)
     x = np.zeros(n)
     x[basis] = T[:, -1]
+    if status == OPTIMAL:
+        fitted = A_dense @ x[dense]
+        fitted[crash_rows] += x[crash_cols]
+        gap = float(np.max(np.abs(fitted - b_orig)))
+        low = float(-np.min(x))
+        if gap > tol * (1.0 + float(np.max(np.abs(b_orig)))) or low > tol:
+            residual = max(gap, low)
+            raise ConvergenceError(
+                f"tableau simplex vertex misses Ax = b, x >= 0 by {residual:.3e}",
+                residual=residual)
     return x, status
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    RkbsError, SeqProblem, SparseSolution, make_solution,
-                   prune_atoms)
+                   matrix_rank, prune_atoms)
 from .optim import OPTIMAL, basis_pursuit, prox_l1_solve
 from . import measure as _measure
 from . import sequence as _sequence
@@ -137,7 +137,6 @@ def _vertexify(mat: np.ndarray, labels: Sequence[float], alpha: np.ndarray,
     misfit = mat @ alpha_v - y
     norm = float(np.sum(np.abs(alpha_v)))
     objective = 0.5 * float(misfit @ misfit) + lam * norm
-    from .core import matrix_rank
     rank = matrix_rank(mat[:, cols], tol)
     return make_solution(sorted(atoms), norm, float(np.max(np.abs(misfit))),
                          rank, objective, n, tol)

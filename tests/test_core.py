@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rkbs_sparse as rk
 from rkbs_sparse.core import DomainError, SolverOptions, make_solution, matrix_rank
@@ -128,6 +132,64 @@ def test_matrix_rank_thresholding():
     assert matrix_rank(np.array([[1.0], [1.0]]), 1e-9) == 1
     assert matrix_rank(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), 1e-9) == 1
     assert matrix_rank(np.zeros((2, 2)), 1e-9) == 0
+
+
+def _scipy_rank(a, tol):
+    """The rank rule on LAPACK's column-pivoted QR (geqp3), as a reference."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0:
+        return 0
+    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
+    return int(np.sum(np.abs(np.diag(r)) > tol * max(a.shape) * scale))
+
+
+def _rank_cases():
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3, 4):
+        yield rng.standard_normal((n, 256))                         # wide, like V_K
+        yield rng.standard_normal((n, n))                           # square
+        yield rng.standard_normal((256, n))                         # tall
+        yield 1.0 / np.arange(1, 257)[None, :] ** np.arange(1, n + 1)[:, None]
+    for m, n, r in ((4, 256, 2), (4, 4, 3), (8, 8, 5), (30, 12, 7), (3, 3, 1)):
+        yield rng.standard_normal((m, r)) @ rng.standard_normal((r, n))  # U V^T
+    for m, n in ((4, 256), (6, 6), (40, 5)):
+        yield rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-14, 4, n)  # scaled columns
+        yield rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-14, 4, (m, 1))
+    yield np.zeros((3, 5))
+    yield np.zeros((1, 1))
+    yield np.array([[2.5]])
+    yield np.array([[-1e-300]])
+    yield np.array([[1e-170, 2e-170], [3e-170, -1e-170]])  # squares underflow
+    yield np.array([[1e170, 2e170], [3e170, -1e170]])      # squares overflow
+
+
+def test_matrix_rank_matches_pivoted_qr_reference():
+    for a in _rank_cases():
+        for tol in (1e-9, 1e-6):
+            assert matrix_rank(a, tol) == _scipy_rank(a, tol), a.shape
+
+
+def test_matrix_rank_leaves_its_input_alone_and_rejects_non_finite():
+    a = np.random.default_rng(3).standard_normal((3, 7))
+    before = a.copy()
+    assert matrix_rank(a, 1e-9) == 3
+    assert np.array_equal(a, before)
+    for bad in (math.nan, math.inf):
+        a[1, 2] = bad
+        with pytest.raises(DomainError):
+            matrix_rank(a, 1e-9)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, rkbs_sparse.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.strip() == "[]"
 
 
 def test_sparse_solution_invariants():

@@ -490,3 +490,24 @@ def test_scan_kernel_calls_do_not_grow_with_seeds(monkeypatch):
         counts[n] = len(calls)
     assert counts[31] <= counts[3] + 2
     assert counts[31] <= 18
+
+
+def test_attainment_scan_evaluates_its_grid_once(monkeypatch):
+    # the boundary check, the grid supremum and the local maxima all come
+    # from one evaluation of the scan grid, at either step
+    import rkbs_sparse.measure as measure_mod
+    sizes = []
+    evaluate = measure_mod.gauss_eval
+
+    def recording(c, problem, x):
+        sizes.append(np.size(x))
+        return evaluate(c, problem, x)
+
+    monkeypatch.setattr(measure_mod, "gauss_eval", recording)
+    p = rk.gauss_problem([-1.0, 0.0, 1.5], 1.0, [1.0, -0.5, 0.8])
+    c = np.array([1.0, -0.6, 0.9])
+    for step in (p.grid_step(), p.grid_step() / 2.0):
+        sizes.clear()
+        points = measure_mod.find_attainment_points(c, p, grid_step=step)
+        assert points
+        assert sizes.count(measure_mod._grid(p, step).size) == 1

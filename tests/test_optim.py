@@ -57,6 +57,28 @@ def test_lp_equality_and_lower_bounds():
     assert x == pytest.approx([3.0, 0.0], abs=1e-9)
 
 
+def test_lp_recheck_catches_a_corrupted_pivot(monkeypatch):
+    # the optimal phase leaves its first basic value off by delta, so the
+    # vertex misses its own constraints by exactly delta; rounding-level
+    # drift passes, a real miss raises and carries the residual
+    bland = optim_mod._bland_phase
+    delta = [0.0]
+
+    def corrupted(T, basis, cost, piv_tol):
+        status = bland(T, basis, cost, piv_tol)
+        T[0, -1] += delta[0]
+        return status
+
+    monkeypatch.setattr(optim_mod, "_bland_phase", corrupted)
+    T = _tableau([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], [0, 1])
+    delta[0] = 1e-12
+    assert _solve_standard(T.copy(), _cost([-1.0, -1.0], T), 1e-9)[1] == OPTIMAL
+    delta[0] = 0.25
+    with pytest.raises(ConvergenceError) as err:
+        _solve_standard(T.copy(), _cost([-1.0, -1.0], T), 1e-9)
+    assert err.value.residual == pytest.approx(0.25, rel=1e-12)
+
+
 def _enumerate_lp_optimum(c, A, b):
     """Brute-force vertex enumeration over row intersections: max c.x
     s.t. A x <= b, x free and bounded; independent of the simplex."""
