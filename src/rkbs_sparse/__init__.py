@@ -2,11 +2,13 @@
 sparsity-promoting hypothesis spaces.
 
 Two concrete pipelines are implemented: l1(N) sequence problems (dual
-linear program with certified truncation, attainment set, basis pursuit)
-and the Gaussian measure space (semi-infinite dual via an exchange
-method, continuous attainment sets, atomic measure recovery), together
-with an lp contrast solver, square-loss l1 regularization with sparsity
-certificates, and brute-force oracles for independent verification.
+linear program with certified truncation, attainment set, basis pursuit
+on the column simplex) and the Gaussian measure space (semi-infinite
+dual via an exchange method, continuous attainment sets, atomic measure
+recovery), together with an lp contrast solver, square-loss l1
+regularization with sparsity certificates, and brute-force oracles for
+independent verification.  All three pipelines recover their sparse
+solution as a basis-pursuit vertex (``optim.vertex_atoms``).
 """
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
@@ -14,7 +16,7 @@ from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    SolverOptions, SparseSolution, TruncationError, finite,
                    functional_eval, functional_tail_bound, gauss_problem,
                    geometric, harmonic, scaled_sum, seq_problem)
-from .optim import VertexSolution, basis_pursuit, prox_l1_solve
+from .optim import basis_pursuit, prox_l1_solve
 from .sequence import (DualCertificate, LpSolution, attainment_set,
                        certificate_from_coefficients, dual_solve_l1,
                        linf_subdiff_extreme_points, mni_solve_l1,

@@ -378,10 +378,6 @@ def _lambda_max_report(parsed: ParsedProblem) -> Dict[str, Any]:
             "provenance": _provenance(parsed.base.options)}
 
 
-def _path_rows(parsed: ParsedProblem) -> List[_regpath.PathRow]:
-    return _regpath.sparsity_path(parsed.base, parsed.lambdas)
-
-
 def _path_report(parsed: ParsedProblem, rows) -> Dict[str, Any]:
     return {"schema": SCHEMA, "space": parsed.space, "task": "path",
             "rows": [{"lambda": r.lam, "atoms": r.atom_count,
@@ -590,13 +586,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         parsed = _load(args.problem, overrides)
+        if args.command == "path" and parsed.task != "path":
+            raise ValidationError("path requires task 'path'")
+        if args.command in ("solve", "path") and parsed.task == "path":
+            rows = _regpath.sparsity_path(parsed.base, parsed.lambdas)
+            text = _path_csv(rows) if args.format == "csv" \
+                else dumps(_path_report(parsed, rows)) + "\n"
+            _emit(text, args.output)
+            return EXIT_OK
         if args.command == "solve":
-            if parsed.task == "path":
-                rows = _path_rows(parsed)
-                text = _path_csv(rows) if args.format == "csv" \
-                    else dumps(_path_report(parsed, rows)) + "\n"
-                _emit(text, args.output)
-                return EXIT_OK
             if parsed.task == "dual":
                 report = _dual_report(parsed)
             elif parsed.task == "lambda-check":
@@ -611,14 +609,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = _lambda_check_report(parsed)
         elif args.command == "lambda-max":
             report = _lambda_max_report(parsed)
-        elif args.command == "path":
-            if parsed.task != "path":
-                raise ValidationError("path requires task 'path'")
-            rows = _path_rows(parsed)
-            text = _path_csv(rows) if args.format == "csv" \
-                else dumps(_path_report(parsed, rows)) + "\n"
-            _emit(text, args.output)
-            return EXIT_OK
         else:  # oracle-verify
             report = _oracle_verify(parsed)
             _emit(dumps(report) + "\n", args.output)

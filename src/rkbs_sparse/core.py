@@ -313,27 +313,34 @@ def gauss_problem(centers: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def matrix_rank(array: np.ndarray, tol: float) -> int:
-    """Numerical rank: the |R_kk| of a column-pivoted QR above tol*max(m,n)*max|a_ij|.
+    """Numerical rank: the |R_kk| of a column-pivoted QR above tol*max(m,n)*max|a_ij|."""
+    return _pivoted_qr(array, tol)[0]
+
+
+def _pivoted_qr(array: np.ndarray, tol: float) -> Tuple[int, np.ndarray]:
+    """(rank, column order) of a column-pivoted QR, as counted by ``matrix_rank``.
 
     Householder QR with the column pivoting of Businger & Golub (1965):
     each step moves the remaining column of largest norm to the front,
     so |R_kk| is that norm, and reflects it onto the first axis.  The
     |R_kk| do not increase, so the count stops at the first one at or
-    below the threshold.
+    below tol*max(m,n)*max|a_ij|.  The first ``rank`` entries of the
+    order are independent columns of the input.
     """
     a = np.atleast_2d(np.asarray(array, dtype=float))
+    m, n = a.shape
+    order = np.arange(n)
     if a.size == 0:
-        return 0
+        return 0, order
     scale = float(np.abs(a).max())
     if not math.isfinite(scale):
         raise DomainError("matrix_rank needs finite entries")
     if scale == 0.0:
-        return 0
+        return 0, order
     # an exact power-of-two rescale keeps the squared norms clear of
     # under- and overflow; the copy is the one the steps overwrite
     mant, exp = math.frexp(scale)
     a = np.ldexp(a, -exp)
-    m, n = a.shape
     thresh = tol * max(m, n) * mant
     for k in range(min(m, n)):
         rest = a[k:, k:]
@@ -341,16 +348,17 @@ def matrix_rank(array: np.ndarray, tol: float) -> int:
         p = int(norms.argmax())
         r_kk = math.sqrt(norms[p])
         if not r_kk > thresh:
-            return k
+            return k, order
         v = rest[:, p].copy()
         rest[:, p] = rest[:, 0]
+        order[k], order[k + p] = order[k + p], order[k]
         # I - v v^T / (r_kk (r_kk + |x_0|)) with v = x + sign(x_0) r_kk e_1
         # maps the pivot column x to -sign(x_0) r_kk e_1
         x0 = v[0]
         v[0] += math.copysign(r_kk, x0)
         tail = rest[:, 1:]
         tail -= np.outer(v / (r_kk * (r_kk + abs(x0))), v @ tail)
-    return min(m, n)
+    return min(m, n), order
 
 
 @dataclass(frozen=True)
@@ -412,24 +420,13 @@ class SparseSolution:
             raise DomainError("rank bound exceeds the number of measurements")
 
 
-def make_solution(atoms, norm, residual, rank_bound, dual_value,
+def make_solution(atoms, residual, rank_bound, dual_value,
                   n: int, tol: float, certificate=None) -> SparseSolution:
-    """Construct a SparseSolution and assert its invariants."""
-    sol = SparseSolution(atoms=tuple((float(s), float(c)) for s, c in atoms),
-                         norm=float(norm), residual=float(residual),
+    """Construct a SparseSolution, its norm the l1 norm of the atoms, and assert its invariants."""
+    atoms = tuple((float(s), float(c)) for s, c in atoms)
+    norm = float(np.sum(np.abs([c for _, c in atoms])))
+    sol = SparseSolution(atoms=atoms, norm=norm, residual=float(residual),
                          rank_bound=int(rank_bound), dual_value=float(dual_value),
                          certificate=certificate)
     sol.validate(n, tol)
     return sol
-
-
-def prune_atoms(sites: Sequence[float], coeffs: np.ndarray, attain_tol: float):
-    """Drop coefficients with magnitude <= attain_tol * l1-norm.
-
-    LP vertices carry exact zeros but proximal iterates do not, so the
-    pruning threshold is relative to the solution scale.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    scale = float(np.sum(np.abs(coeffs)))
-    keep = np.abs(coeffs) > attain_tol * scale
-    return [(s, float(c)) for s, c, k in zip(sites, coeffs, keep) if k]

@@ -34,9 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
-                   prune_atoms)
-from .optim import OPTIMAL, basis_pursuit, l1_column_simplex
+from .core import ConvergenceError, DomainError, GaussProblem, KernelMatrix
+from .optim import l1_column_simplex, vertex_atoms
 
 _DERIV_TOL = 1e-10
 _FLAT_EPS = 1e-12
@@ -565,12 +564,7 @@ def mni_solve_measure(problem: GaussProblem) -> SparseMeasure:
         final_sites = list(sites)
 
     V = kernel_matrix(problem, final_sites, tol)
-    bp = basis_pursuit(V.array, y, tol)
-    if bp.status != OPTIMAL:
-        raise ConvergenceError(
-            f"basis pursuit over the attainment points returned {bp.status}; "
-            "dual certificate inconsistent with the data")
-    atoms = prune_atoms(final_sites, bp.x, problem.options.attain_tol)
+    atoms, _ = vertex_atoms(V, y, tol, problem.options.attain_tol)
     alpha = np.array([coeff for _, coeff in atoms])
     locs = np.array([loc for loc, _ in atoms])
     fitted = _kernel(problem, locs).T @ alpha if atoms else np.zeros(problem.n)

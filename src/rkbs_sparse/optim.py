@@ -1,17 +1,19 @@
 """Finite-dimensional optimization kernels.
 
-A dense two-phase tableau simplex with Bland's anti-cycling rule
-(deterministic, vertex-returning) for standard form only: min cost.x
-s.t. Ax = b, x >= 0, handed over as the tableau T = [A | b]
-(``_solve_standard``).  Its callers lay out their own tableau: the exact
-l1 basis-pursuit solver here and the two l1(N) dual LPs in ``sequence``.
-Beside it, a revised primal simplex for min ||alpha||_1 s.t.
-V alpha = y started from a given feasible basis of n (column, sign)
-pairs, and a restarted accelerated proximal-gradient solver for the
-square-loss l1-regularized subproblem.  Desk scale throughout: a few
-hundred rows at most.  The revised simplex keeps no tableau and solves
-with its n x n basis matrix at every pivot.  Both simplices pivot by
-Bland's rule, so every LP follows one fixed pivot sequence.
+A revised primal simplex for min ||alpha||_1 s.t. V alpha = y started
+from a given feasible basis of n (column, sign) pairs
+(``l1_column_simplex``).  It runs the Gaussian exchange rounds and basis
+pursuit, whose crash basis comes from the column-pivoted QR behind
+``core.matrix_rank``; ``vertex_atoms`` turns a basis-pursuit vertex into
+the atoms of the three pipelines.  It keeps no tableau and solves with
+its n x n basis matrix at every pivot.  Beside it, a dense two-phase
+tableau simplex (``_solve_standard``) for standard form only: min
+cost.x s.t. Ax = b, x >= 0, handed over as the tableau T = [A | b]; it
+serves only the two l1(N) dual LPs in ``sequence``, which lay out their
+own tableau.  Both simplices pivot by Bland's rule, so every LP follows
+one fixed pivot sequence.  Last, a restarted accelerated
+proximal-gradient solver for the square-loss l1-regularized subproblem.
+Desk scale throughout: a few hundred rows at most.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError
+from .core import ConvergenceError, DomainError, KernelMatrix, _pivoted_qr
 
 _PIVOT_TOL = 1e-11
 _FEAS_ULPS = 64  # rounding allowance of the column simplex, in ulps of ||x_B||_1
@@ -33,15 +35,6 @@ _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class VertexSolution:
-    """A basic (vertex) solution: point, value, status."""
-
-    x: np.ndarray
-    objective_value: float
-    status: str
 
 
 def _bland_phase(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
@@ -175,30 +168,53 @@ def _solve_standard(T: np.ndarray, cost: np.ndarray,
     return x, status
 
 
-def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> VertexSolution:
-    """min ||alpha||_1 subject to L alpha = y, solved exactly as an LP.
+def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """A vertex alpha of min ||alpha||_1 subject to L alpha = y.
 
-    The split alpha = alpha+ - alpha- (both nonnegative) makes the
-    objective linear; a basis can never contain both halves of one
-    variable, so the returned vertex has at most rank(L) nonzeros and its
-    objective equals the l1 norm exactly.  status is ``infeasible`` when
-    y is outside the column space of L.
+    The first r = rank(L) pivot columns of a column-pivoted QR of L are
+    independent, and a pivoted QR of their transpose picks r independent
+    rows; ``l1_column_simplex`` on those rows then starts from these
+    columns as a feasible crash, with no phase 1, even when L is rank
+    deficient or has redundant rows.  The vertex has at most rank(L)
+    nonzeros.  It is rechecked on every row: ConvergenceError carrying
+    ||L alpha - y||_inf is raised unless that is at most
+    tol (1 + ||y||_inf), which is how an infeasible y shows.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     y = np.asarray(y, dtype=float)
     m, n = L.shape
     if y.size != m:
         raise DomainError("y length must match the number of rows of L")
-    T = np.empty((m, 2 * n + 1))
-    T[:, :n] = L
-    np.negative(L, out=T[:, n:2 * n])
-    T[:, -1] = y
-    x_std, status = _solve_standard(T, np.ones(2 * n), tol)
-    alpha = x_std[:n] - x_std[n:]
-    if status != OPTIMAL:
-        return VertexSolution(x=alpha, objective_value=math.nan, status=status)
-    return VertexSolution(x=alpha, objective_value=float(np.sum(np.abs(alpha))),
-                          status=OPTIMAL)
+    rank, order = _pivoted_qr(L, tol)
+    cols = order[:rank]
+    alpha = np.zeros(n)
+    if rank:
+        found, row_order = _pivoted_qr(L[:, cols].T, tol)
+        if found < rank:
+            raise ConvergenceError(f"basis pursuit found {found} independent rows "
+                                   f"for {rank} independent columns")
+        rows = row_order[:rank]
+        basis = l1_column_simplex(L[rows], y[rows], cols, tol=tol)
+        alpha[basis.cols] = basis.signs * basis.weights
+    residual = float(np.max(np.abs(L @ alpha - y), initial=0.0))
+    if residual > tol * (1.0 + float(np.max(np.abs(y), initial=0.0))):
+        raise ConvergenceError(f"basis pursuit vertex misses L alpha = y by {residual:.3e}",
+                               residual=residual)
+    return alpha
+
+
+def vertex_atoms(V: KernelMatrix, y: np.ndarray, tol: float,
+                 attain_tol: float) -> Tuple[List[Tuple[float, float]], np.ndarray]:
+    """(atoms, alpha): the basis-pursuit vertex on V's columns, pruned.
+
+    Coefficients of magnitude at most attain_tol times the vertex's l1
+    norm are set to zero in alpha; atoms are the (label, coefficient)
+    pairs of the rest, in column order.
+    """
+    alpha = basis_pursuit(V.array, y, tol)
+    keep = np.abs(alpha) > attain_tol * float(np.sum(np.abs(alpha)))
+    alpha[~keep] = 0.0
+    return [(V.labels[j], float(alpha[j])) for j in np.flatnonzero(keep)], alpha
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
-                   RkbsError, SeqProblem, SparseSolution, make_solution,
-                   matrix_rank, prune_atoms)
-from .optim import OPTIMAL, basis_pursuit, prox_l1_solve
+                   RkbsError, SeqProblem, SparseSolution, make_solution)
+from .optim import prox_l1_solve, vertex_atoms
 from . import measure as _measure
 from . import sequence as _sequence
 
@@ -105,7 +104,7 @@ def lambda_max(L, y: Sequence[float]) -> float:
 
 def _zero_solution(y: np.ndarray, n: int, tol: float) -> SparseSolution:
     objective = 0.5 * float(y @ y)
-    return make_solution([], 0.0, float(np.max(np.abs(y))), 0, objective, n, tol)
+    return make_solution([], float(np.max(np.abs(y))), 0, objective, n, tol)
 
 
 def _vertexify(mat: np.ndarray, labels: Sequence[float], alpha: np.ndarray,
@@ -125,21 +124,20 @@ def _vertexify(mat: np.ndarray, labels: Sequence[float], alpha: np.ndarray,
     if not np.any(active) or float(np.sum(np.abs(alpha))) == 0.0:
         return _zero_solution(y, n, tol)
     cols = np.nonzero(active)[0]
-    fitted = mat @ alpha
-    bp = basis_pursuit(mat[:, cols], fitted, tol)
-    if bp.status != OPTIMAL:
-        raise ConvergenceError(f"active-set basis pursuit returned {bp.status}")
-    atoms = prune_atoms([labels[j] for j in cols], bp.x, attain_tol)
+    V = KernelMatrix.build(mat[:, cols], [labels[j] for j in cols], tol)
+    atoms, vertex = vertex_atoms(V, mat @ alpha, tol, attain_tol)
     alpha_v = np.zeros(mat.shape[1])
-    pos = {labels[j]: j for j in cols}
-    for site, coeff in atoms:
-        alpha_v[pos[site]] = coeff
+    alpha_v[cols] = vertex
     misfit = mat @ alpha_v - y
-    norm = float(np.sum(np.abs(alpha_v)))
-    objective = 0.5 * float(misfit @ misfit) + lam * norm
-    rank = matrix_rank(mat[:, cols], tol)
-    return make_solution(sorted(atoms), norm, float(np.max(np.abs(misfit))),
-                         rank, objective, n, tol)
+    return _reg_solution(atoms, misfit, lam, V.rank, n, tol)
+
+
+def _reg_solution(atoms, misfit: np.ndarray, lam: float, rank: int, n: int,
+                  tol: float) -> SparseSolution:
+    """The solution with these atoms and data misfit; its objective charges lam ||atoms||_1."""
+    sol = make_solution(sorted(atoms), float(np.max(np.abs(misfit))), rank,
+                        math.nan, n, tol)
+    return dataclasses.replace(sol, dual_value=0.5 * float(misfit @ misfit) + lam * sol.norm)
 
 
 def _reg_solve_seq(problem: SeqProblem, lam: float) -> SparseSolution:
@@ -268,14 +266,10 @@ def _polish_gauss_solution(problem: GaussProblem, V: KernelMatrix,
     if sites.size == 0:
         return _zero_solution(problem.y_vector(), problem.n,
                               problem.options.tol)
-    y = problem.y_vector()
-    misfit = _measure._kernel(problem, sites).T @ w - y
-    norm = float(np.sum(np.abs(w)))
-    objective = 0.5 * float(misfit @ misfit) + lam * norm
+    misfit = _measure._kernel(problem, sites).T @ w - problem.y_vector()
     rank = _measure.kernel_matrix(problem, sites, problem.options.tol).rank
-    return make_solution(sorted(zip(sites, w)), norm,
-                         float(np.max(np.abs(misfit))), rank, objective,
-                         problem.n, problem.options.tol)
+    return _reg_solution(zip(sites, w), misfit, lam, rank, problem.n,
+                         problem.options.tol)
 
 
 def reg_solve(problem: RegProblem) -> SparseSolution:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, KernelMatrix, SeqProblem,
                    SequenceFunctional, SparseSolution, TruncationError,
-                   make_solution, matrix_rank, prune_atoms, scaled_sum)
-from .optim import OPTIMAL, UNBOUNDED, _solve_standard, basis_pursuit
+                   make_solution, matrix_rank, scaled_sum)
+from .optim import OPTIMAL, UNBOUNDED, _solve_standard, vertex_atoms
 
 MAX_TRUNCATION = 2 ** 20
 _LP_GRAD_TOL = 1e-12  # lp dual: relative projected-gradient stopping norm
@@ -335,19 +335,9 @@ def mni_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> Spars
     tol = problem.options.tol
     V = truncation_matrix(problem.functionals, cert.attainment, tol)
     y = problem.y_vector()
-    bp = basis_pursuit(V.array, y, tol)
-    if bp.status != OPTIMAL:
-        raise ConvergenceError(
-            f"basis pursuit on the attainment columns returned {bp.status}; "
-            "the dual certificate is inconsistent with the data")
-    atoms = prune_atoms(cert.attainment, bp.x, problem.options.attain_tol)
-    alpha = np.zeros(len(cert.attainment))
-    site_pos = {site: i for i, site in enumerate(cert.attainment)}
-    for site, coeff in atoms:
-        alpha[site_pos[site]] = coeff
+    atoms, alpha = vertex_atoms(V, y, tol, problem.options.attain_tol)
     residual = float(np.max(np.abs(V.array @ alpha - y)))
-    norm = float(np.sum(np.abs(alpha)))
-    return make_solution(atoms, norm, residual, V.rank, cert.value, problem.n, tol,
+    return make_solution(atoms, residual, V.rank, cert.value, problem.n, tol,
                          certificate=cert)
 
 

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 
 import rkbs_sparse as rk
-from rkbs_sparse.core import DomainError, SolverOptions, make_solution, matrix_rank
+from rkbs_sparse.core import (DomainError, SolverOptions, SparseSolution, _pivoted_qr,
+                              make_solution, matrix_rank)
 
 
 def test_harmonic_first_coordinate():
@@ -170,6 +171,16 @@ def test_matrix_rank_matches_pivoted_qr_reference():
             assert matrix_rank(a, tol) == _scipy_rank(a, tol), a.shape
 
 
+def test_pivoted_qr_leads_with_independent_columns():
+    for a in _rank_cases():
+        for tol in (1e-9, 1e-6):
+            rank, order = _pivoted_qr(a, tol)
+            assert rank == matrix_rank(a, tol)
+            assert sorted(order) == list(range(a.shape[1]))
+            if rank:
+                assert _scipy_rank(a[:, order[:rank]], tol) == rank, a.shape
+
+
 def test_matrix_rank_leaves_its_input_alone_and_rejects_non_finite():
     a = np.random.default_rng(3).standard_normal((3, 7))
     before = a.copy()
@@ -193,11 +204,13 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_sparse_solution_invariants():
-    sol = make_solution([(1, 1.0)], 1.0, 0.0, 2, 1.0, n=2, tol=1e-9)
+    sol = make_solution([(1, -1.5)], 0.0, 2, 1.5, n=2, tol=1e-9)
     assert sol.sites() == (1.0,)
+    assert sol.norm == 1.5
     with pytest.raises(DomainError):
-        make_solution([(2, 1.0), (1, 1.0)], 2.0, 0.0, 2, 2.0, n=2, tol=1e-9)
+        make_solution([(2, 1.0), (1, 1.0)], 0.0, 2, 2.0, n=2, tol=1e-9)
     with pytest.raises(DomainError):
-        make_solution([(1, 1.0), (2, 1.0)], 2.0, 0.0, 1, 2.0, n=2, tol=1e-9)
+        make_solution([(1, 1.0), (2, 1.0)], 0.0, 1, 2.0, n=2, tol=1e-9)
     with pytest.raises(DomainError):
-        make_solution([(1, 1.0)], 5.0, 0.0, 2, 1.0, n=2, tol=1e-9)
+        SparseSolution(atoms=((1.0, 1.0),), norm=5.0, residual=0.0, rank_bound=2,
+                       dual_value=1.0).validate(n=2, tol=1e-9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rkbs_sparse as rk
-from rkbs_sparse.core import ConvergenceError, DomainError
+from rkbs_sparse.core import ConvergenceError, DomainError, matrix_rank
 import rkbs_sparse.optim as optim_mod
 from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _crash_basis,
                                _exact_residual, _solve_standard, basis_pursuit,
@@ -298,28 +298,51 @@ def test_l1_column_simplex_rejects_an_infeasible_basis():
     assert err.value.residual == pytest.approx(1.0)
 
 
+def _check_vertex(L, y, alpha, tol=1e-9):
+    """alpha solves L alpha = y to tol and has at most rank(L) nonzeros."""
+    residual = float(np.max(np.abs(L @ alpha - y), initial=0.0))
+    assert residual <= tol * (1.0 + float(np.max(np.abs(y), initial=0.0)))
+    assert np.count_nonzero(alpha) <= matrix_rank(L, tol)
+
+
 def test_basis_pursuit_worked_example_matrix():
-    sol = basis_pursuit(np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([1.0, 1.0]))
-    assert sol.status == OPTIMAL
-    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-9)
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+    L, y = np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([1.0, 1.0])
+    alpha = basis_pursuit(L, y)
+    _check_vertex(L, y, alpha)
+    assert alpha == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert float(np.sum(np.abs(alpha))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_basis_pursuit_single_column():
-    sol = basis_pursuit(np.array([[1.0]]), np.array([2.0]))
-    assert sol.x == pytest.approx([2.0])
+    L, y = np.array([[1.0]]), np.array([2.0])
+    alpha = basis_pursuit(L, y)
+    _check_vertex(L, y, alpha)
+    assert alpha == pytest.approx([2.0])
 
 
 def test_basis_pursuit_triangular():
     # frozen from the vertex-enumeration oracle: unique feasible support {1,2}
-    sol = basis_pursuit(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    assert sol.x == pytest.approx([0.5, 1.0], abs=1e-9)
-    assert sol.objective_value == pytest.approx(1.5, abs=1e-9)
+    L, y = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0])
+    alpha = basis_pursuit(L, y)
+    _check_vertex(L, y, alpha)
+    assert alpha == pytest.approx([0.5, 1.0], abs=1e-9)
+    assert float(np.sum(np.abs(alpha))) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_basis_pursuit_infeasible():
-    sol = basis_pursuit(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
-    assert sol.status == INFEASIBLE
+    cases = [
+        # the one row the crash keeps is met; the other misses by 1
+        (np.array([[1.0], [1.0]]), np.array([1.0, 2.0]), 1.0),
+        # rank 1: the crash keeps the largest row, 3 a + 6 b = 4, and
+        # row 2 then misses by 8/3 - 2
+        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), np.array([1.0, 2.0, 4.0]), 2.0 / 3.0),
+        # rank 0: alpha = 0 misses by ||y||_inf
+        (np.zeros((3, 4)), np.array([0.0, -2.5, 1.0]), 2.5),
+    ]
+    for L, y, residual in cases:
+        with pytest.raises(ConvergenceError) as err:
+            basis_pursuit(L, y)
+        assert err.value.residual == pytest.approx(residual, rel=1e-12)
 
 
 def test_basis_pursuit_matches_enumeration_oracle():
@@ -331,18 +354,69 @@ def test_basis_pursuit_matches_enumeration_oracle():
         support = rng.choice(n, size=min(m, n), replace=False)
         alpha_true[support] = np.round(rng.uniform(-2, 2, support.size), 2)
         y = L @ alpha_true
-        sol = basis_pursuit(L, y)
         report = rk.vertex_enumerate_l1(L, y)
         if report.value is None:
-            assert sol.status == INFEASIBLE
+            with pytest.raises(ConvergenceError) as err:
+                basis_pursuit(L, y)
+            assert err.value.residual > 1e-9 * (1.0 + float(np.max(np.abs(y))))
             continue
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(report.value, abs=1e-9)
+        alpha = basis_pursuit(L, y)
+        assert float(np.sum(np.abs(alpha))) == pytest.approx(report.value, abs=1e-9)
         # vertex sparsity against the rank of the matrix
-        nnz = int(np.sum(np.abs(sol.x) > 1e-10))
+        nnz = int(np.sum(np.abs(alpha) > 1e-10))
         assert nnz <= np.linalg.matrix_rank(L, tol=1e-9)
-        residual = float(np.max(np.abs(L @ sol.x - y)))
+        residual = float(np.max(np.abs(L @ alpha - y)))
         assert residual <= 1e-9 * (1.0 + float(np.max(np.abs(y))))
+
+
+def test_basis_pursuit_rank_deficient_and_redundant_rows():
+    cases = [
+        (np.array([[1.0], [1.0]]), np.array([1.0, 1.0]), 1.0),  # the demo's minimal V
+        (np.array([[1.0, 2.0, -1.0], [1.0, 2.0, -1.0], [1.0, 2.0, -1.0]]),
+         np.array([4.0, 4.0, 4.0]), 2.0),  # repeated rows, rank 1
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0]]),
+         np.array([1.0, -2.0, -1.0, 4.0]), 3.0),  # tall, rank 2
+        (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+         np.array([2.0, 3.0, 5.0]), 5.0),  # a repeated column and a dependent row
+        (np.zeros((3, 4)), np.zeros(3), 0.0),  # rank 0
+    ]
+    for L, y, norm in cases:
+        alpha = basis_pursuit(L, y)
+        _check_vertex(L, y, alpha)
+        assert float(np.sum(np.abs(alpha))) == pytest.approx(norm, abs=1e-12)
+
+
+def test_basis_pursuit_rank_deficient_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 12))
+        r = int(rng.integers(1, min(m, n) + 1))
+        L = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        y = L @ rng.standard_normal(n)
+        alpha = basis_pursuit(L, y)
+        _check_vertex(L, y, alpha)
+        assert np.count_nonzero(alpha) <= r
+        ref = linprog(np.ones(2 * n), A_eq=np.hstack([L, -L]), b_eq=y,
+                      bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert float(np.sum(np.abs(alpha))) == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
+def test_basis_pursuit_reports_missing_rows(monkeypatch):
+    # a row QR that finds one row fewer than the column QR found columns
+    real = optim_mod._pivoted_qr
+    shapes = []
+
+    def short_rows(a, tol):
+        shapes.append(a.shape)
+        rank, order = real(a, tol)
+        return (rank if len(shapes) == 1 else rank - 1), order
+
+    monkeypatch.setattr(optim_mod, "_pivoted_qr", short_rows)
+    with pytest.raises(ConvergenceError, match="1 independent rows for 2"):
+        basis_pursuit(np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([1.0, 1.0]))
+    assert shapes == [(2, 2), (2, 2)]
 
 
 def test_basis_pursuit_midpoint_of_perturbed_optima():

@@ -175,9 +175,9 @@ def test_mni_worked_example_under_pinned_dual_selections(worked_example):
         V = truncation_matrix(worked_example.functionals, cert.attainment)
         assert V.rank == want_rank
         from rkbs_sparse.optim import basis_pursuit
-        bp = basis_pursuit(V.array, worked_example.y_vector())
-        sites = [k for k, a in zip(cert.attainment, bp.x) if abs(a) > 1e-12]
-        coeffs_kept = [a for a in bp.x if abs(a) > 1e-12]
+        alpha = basis_pursuit(V.array, worked_example.y_vector())
+        sites = [k for k, a in zip(cert.attainment, alpha) if abs(a) > 1e-12]
+        coeffs_kept = [a for a in alpha if abs(a) > 1e-12]
         assert sites == [1]
         assert coeffs_kept == pytest.approx([1.0], abs=1e-9)
 
