@@ -366,17 +366,20 @@ class KernelMatrix:
     """A measurement matrix restricted to candidate sites, with its rank.
 
     ``labels`` are 1-based coordinate indices for sequence problems and
-    real locations for Gaussian problems.
+    real locations for Gaussian problems.  ``order`` is the column order
+    of the pivoted QR behind ``rank``, independent columns first.
     """
 
     array: np.ndarray
     labels: Tuple[float, ...]
     rank: int
+    order: np.ndarray = field(repr=False, compare=False)
 
     @staticmethod
     def build(array: np.ndarray, labels: Sequence[float], tol: float) -> "KernelMatrix":
         a = np.atleast_2d(np.asarray(array, dtype=float))
-        return KernelMatrix(array=a, labels=tuple(labels), rank=matrix_rank(a, tol))
+        rank, order = _pivoted_qr(a, tol)
+        return KernelMatrix(array=a, labels=tuple(labels), rank=rank, order=order)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,22 @@
 """Finite-dimensional optimization kernels.
 
-A revised primal simplex for min ||alpha||_1 s.t. V alpha = y started
-from a given feasible basis of n (column, sign) pairs
-(``l1_column_simplex``).  It runs the Gaussian exchange rounds and basis
-pursuit, whose crash basis comes from the column-pivoted QR behind
-``core.matrix_rank``; ``vertex_atoms`` turns a basis-pursuit vertex into
-the atoms of the three pipelines.  It keeps no tableau and solves with
-its n x n basis matrix at every pivot.  Beside it, a dense two-phase
-tableau simplex (``_solve_standard``) for standard form only: min
-cost.x s.t. Ax = b, x >= 0, handed over as the tableau T = [A | b]; it
-serves only the two l1(N) dual LPs in ``sequence``, which lay out their
-own tableau.  Both simplices pivot by Bland's rule, so every LP follows
-one fixed pivot sequence.  Last, a restarted accelerated
-proximal-gradient solver for the square-loss l1-regularized subproblem.
-Desk scale throughout: a few hundred rows at most.
+Two revised simplex methods, both pivoting by Bland's rule, so that every
+LP follows one fixed pivot sequence, and neither carrying a tableau:
+``l1_column_simplex`` for min ||alpha||_1 s.t. V alpha = y from a given
+feasible basis of n (column, sign) pairs, which runs the Gaussian
+exchange rounds and basis pursuit (``vertex_atoms`` turns its vertex into
+the atoms of the three pipelines); and the two-phase ``revised_simplex``
+for min cost.u s.t. A u <= b or = b, u >= 0 over a dense block of a few
+columns, which serves the two l1(N) dual LPs in ``sequence``.  Last, a
+restarted accelerated proximal-gradient solver for the square-loss
+l1-regularized subproblem.  Desk scale: a few hundred rows at most.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,145 +33,181 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _bland_phase(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 piv_tol: float) -> str:
-    """Run simplex iterations in place on tableau T = [A | b].
+class _SplitLP:
+    """The rows of ``revised_simplex``, those with b < 0 flipped.
 
-    ``basis`` maps rows to basic columns; entering and leaving variables
-    follow Bland's smallest-index rule, which guarantees termination.
+    Variable j < p is column j of A and variable p + i the unit column
+    unit_sign[i] e_(unit_row[i]): the slacks of the <= rows, then the
+    artificials of the rows in ``need``.  ``live`` marks the rows not
+    dropped as redundant; twin[j] = t where A[:, t] = -A[:, j] exactly
+    (the c+ and c- columns of one split variable), else j.
     """
-    m, ncols1 = T.shape
-    ncols = ncols1 - 1
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, m_le: int):
+        flip = np.where(b < 0, -1.0, 1.0)
+        self.need = np.flatnonzero((np.arange(b.size) >= m_le) | (b < 0))
+        self.A, self.b = A * flip[:, None], b * flip
+        self.unit_row = np.concatenate((np.arange(m_le), self.need))
+        self.unit_sign = np.concatenate((flip[:m_le], np.ones(self.need.size)))
+        self.live = np.ones(b.size, dtype=bool)
+        sums = self.A.sum(axis=0)  # exact negatives have exactly negated sums
+        j, t = np.nonzero(sums[:, None] == -sums)
+        exact = np.all(self.A[:, j] == -self.A[:, t], axis=0)
+        self.twin = np.arange(A.shape[1])
+        self.twin[j[exact]] = t[exact]
+
+    def factor(self, basis: np.ndarray):
+        """(dense mask, S, C, signs, R, M, A[C, S]) of a basis given by position.
+
+        S are its dense columns and C the rows its unit columns cover, so
+        B^-1 needs only the k x k block M = A[R, S], R the other live rows.
+        """
+        p = self.A.shape[1]
+        dense = basis < p
+        S, units = basis[dense], basis[~dense] - p
+        C = self.unit_row[units]
+        free = self.live.copy()
+        free[C] = False
+        R, A_S = np.flatnonzero(free), self.A[:, S]
+        return dense, S, C, self.unit_sign[units], R, A_S[R], A_S[C]
+
+    def solve(self, fac, a: np.ndarray) -> np.ndarray:
+        """B^-1 a by basis position, for a column a over all rows."""
+        dense, S, C, sign, R, M, A_CS = fac
+        d = np.empty(dense.size)
+        d[dense] = d_S = np.linalg.solve(M, a[R])
+        d[~dense] = sign * (a[C] - A_CS @ d_S)
+        return d
+
+    def priced(self, y: np.ndarray, nvar: int) -> np.ndarray:
+        """y.a_j for the first nvar variables j."""
+        units = slice(0, nvar - self.A.shape[1])
+        return np.concatenate((y @ self.A, y[self.unit_row[units]] * self.unit_sign[units]))
+
+
+def _bland_revised(lp: _SplitLP, basis: np.ndarray,
+                   cost: np.ndarray) -> Tuple[str, np.ndarray]:
+    """Pivot ``basis`` (ids by position, updated in place) to optimality.
+
+    Prices the variables that ``cost`` covers.  The smallest id with
+    z_j = pi.a_j - cost_j > _PIVOT_TOL enters, ratio ties within
+    _PIVOT_TOL leave by the smallest basic id (Bland's rule), and a
+    column with no entry of B^-1 a_j above _PIVOT_TOL is a ray.  A column
+    whose twin is basic has B^-1 a_j = -e and z_j = -cost_twin - cost_j
+    exactly, which is used in place of the rounded z_j.  In exact
+    arithmetic no pivot returns to an earlier basis; a rounding-level z_j
+    on an ill-conditioned basis can, so that pivot is refused and the
+    next candidate tried.  Returns (status, x_B by position).
+    """
+    p = lp.A.shape[1]
+    on = np.zeros(cost.size, dtype=bool)
+    on[basis] = True
+    now = int.from_bytes(np.packbits(on, bitorder="little").tobytes(), "little")
+    seen = {now}  # bases as bit masks of their ids
     while True:
-        # z_j = c_B^T B^-1 A_j - c_j; improving columns have z_j > 0
-        z = cost[basis] @ T[:, :ncols] - cost[:ncols]
+        fac = lp.factor(basis)
+        dense, S, C, sign, R, M, A_CS = fac
+        x = lp.solve(fac, lp.b)
+        pi = np.zeros(lp.b.size)
+        pi[C] = sign * cost[basis[~dense]]
+        pi[R] = np.linalg.solve(M.T, cost[S] - A_CS.T @ pi[C])
+        z = lp.priced(pi, cost.size) - cost
         z[basis] = 0.0
-        improving = np.nonzero(z > piv_tol)[0]
-        if improving.size == 0:
-            return OPTIMAL
-        j = int(improving[0])
-        col = T[:, j]
-        rows = np.nonzero(col > piv_tol)[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, ncols] / col[rows]
-        best = np.min(ratios)
-        tied = rows[ratios <= best + piv_tol * (1.0 + abs(best))]
-        r = int(tied[np.argmin(basis[tied])])
-        T[r] /= T[r, j]
-        piv_row = T[r]
-        factors = T[:, j].copy()
-        factors[r] = 0.0
-        T -= np.outer(factors, piv_row)
-        T[:, j] = 0.0
-        T[r, j] = 1.0
-        basis[r] = j
-
-
-def _crash_basis(A: np.ndarray) -> np.ndarray:
-    """Per row, the first column whose only nonzero is a +1 in that row, or -1."""
-    m, n = A.shape
-    basis = np.full(m, -1, dtype=int)
-    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
-    single = (np.bincount(cols, minlength=n)[cols] == 1) & (A[rows, cols] == 1.0)
-    rows, cols = rows[single], cols[single]
-    # the hits run row by row, so the first hit of a row is its smallest column
-    crash_rows, first = np.unique(rows, return_index=True)
-    basis[crash_rows] = cols[first]
-    return basis
-
-
-def _solve_standard(T: np.ndarray, cost: np.ndarray,
-                    tol: float) -> Tuple[np.ndarray, str]:
-    """Two-phase simplex for min cost.x s.t. Ax = b, x >= 0, on T = [A | b].
-
-    Takes ownership of T and overwrites it.  Returns (x, status), x a
-    vertex when status is ``optimal``.
-    Rows with negative b are flipped.  A crash basis is read off
-    structural singleton +1 columns (the slacks of inequality rows); only
-    rows without one receive an artificial variable, so pure inequality
-    problems skip phase 1 entirely.  An ``optimal`` x is rechecked
-    against the unpivoted constraints; ConvergenceError carrying
-    max(||Ax - b||_inf, -min x) is raised unless
-    ||Ax - b||_inf <= tol (1 + ||b||_inf) and x >= -tol.
-    """
-    m, n = T.shape[0], T.shape[1] - 1
-    T[T[:, -1] < 0] *= -1.0
-    A = T[:, :n]
-    b = T[:, -1]
-
-    basis = _crash_basis(A)
-    need = np.nonzero(basis == -1)[0]
-    # the recheck keeps a copy of the unpivoted constraints: b and every
-    # column but the crash columns, which are unit vectors
-    crash_rows = np.nonzero(basis >= 0)[0]
-    crash_cols = basis[crash_rows]
-    dense = np.ones(n, dtype=bool)
-    dense[crash_cols] = False
-    A_dense, b_orig = A[:, dense], b.copy()
-
-    if need.size:
-        k = need.size
-        T = np.zeros((m, n + k + 1))  # A and b still view the original tableau
-        T[:, :n] = A
-        T[need, n + np.arange(k)] = 1.0
-        T[:, -1] = b
-        basis[need] = n + np.arange(k)
-        phase1_cost = np.zeros(n + k)
-        phase1_cost[n:] = 1.0
-        status = _bland_phase(T, basis, phase1_cost, _PIVOT_TOL)
-        if status != OPTIMAL:  # phase 1 is always bounded below by 0
-            return np.zeros(n), INFEASIBLE
-        feas = float(phase1_cost[basis] @ T[:, -1])
-        if feas > tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
-            return np.zeros(n), INFEASIBLE
-
-        # pivot remaining artificials out of the basis, dropping redundant rows
-        keep_rows: List[int] = []
-        for r in range(m):
-            if basis[r] < n:
-                keep_rows.append(r)
+        for j in np.flatnonzero(z > _PIVOT_TOL):
+            if j < p and on[lp.twin[j]]:  # B^-1 a_j = -e, z_j = -cost_twin - cost_j
+                if cost[lp.twin[j]] + cost[j] < -_PIVOT_TOL:
+                    return UNBOUNDED, x
                 continue
-            pivots = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
-            if pivots.size == 0:
-                continue  # redundant row
-            j = int(pivots[0])
-            T[r] /= T[r, j]
-            piv_row = T[r]
-            factors = T[:, j].copy()
-            factors[r] = 0.0
-            T -= np.outer(factors, piv_row)
-            T[:, j] = 0.0
-            T[r, j] = 1.0
-            basis[r] = j
-            keep_rows.append(r)
-        T = T[np.ix_(keep_rows, np.r_[0:n, n + k])]
-        basis = basis[keep_rows]
+            a = lp.A[:, j] if j < p else np.where(lp.unit_row[j - p] == np.arange(lp.b.size),
+                                                   lp.unit_sign[j - p], 0.0)
+            d = lp.solve(fac, a)
+            rows = np.flatnonzero(d > _PIVOT_TOL)
+            if rows.size == 0:
+                return UNBOUNDED, x
+            ratios = x[rows] / d[rows]
+            best = float(np.min(ratios))
+            tied = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
+            r = int(tied[np.argmin(basis[tied])])
+            after = now ^ (1 << int(basis[r])) ^ (1 << int(j))
+            if after not in seen:
+                break
+        else:
+            return OPTIMAL, x
+        seen.add(after)
+        on[basis[r]], on[j] = False, True
+        now, basis[r] = after, j
 
-    status = _bland_phase(T, basis, cost, _PIVOT_TOL)
-    x = np.zeros(n)
-    x[basis] = T[:, -1]
+
+def revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, m_le: int,
+                    tol: float) -> Tuple[np.ndarray, str]:
+    """min cost.u s.t. A[:m_le] u <= b[:m_le], A[m_le:] u = b[m_le:], u >= 0.
+
+    Two-phase revised simplex over the dense m x p block A, from the unit
+    columns: a slack per <= row and an artificial per row without a
+    feasible one (the = rows, and the <= rows with b < 0, flipped).  A
+    basis is kept as its ids; B^-1 needs only the k x k block of its k
+    dense columns on the rows whose unit column is nonbasic, so x_B,
+    B^-1 a and the prices each take one k x k solve and O(mk) products.
+    After phase 1, a leftover artificial is pivoted out by the first
+    column with a nonzero in its row of B^-1 A, or its row is dropped as
+    redundant.  Returns (u, status); an ``optimal`` u is rechecked, and
+    ConvergenceError carrying max(||Au + s - b||_inf, -min(u, s)), s the
+    slacks, is raised unless the first is <= tol (1 + ||b||_inf) and the
+    second <= tol.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    m, p = A.shape
+    n_real = p + m_le
+    lp = _SplitLP(A, b, m_le)
+    basis = p + np.arange(m)
+    basis[lp.need] = n_real + np.arange(lp.need.size)
+    try:
+        if lp.need.size:
+            status, x_B = _bland_revised(lp, basis, np.r_[np.zeros(n_real), np.ones(lp.need.size)])
+            if (status != OPTIMAL  # phase 1 is always bounded below by 0
+                    or float(np.sum(x_B[basis >= n_real]))
+                    > tol * (1.0 + float(np.max(np.abs(b))))):
+                return np.zeros(p), INFEASIBLE
+            kept = np.ones(m, dtype=bool)
+            for r in np.flatnonzero(basis >= n_real):
+                # the artificial's row of B^-1 A is y.A, y = e_q - M^-T A[q, S] on R
+                dense, S, C, sign, R, M, _ = lp.factor(basis[kept])
+                q = lp.unit_row[basis[r] - p]
+                y = np.zeros(m)
+                y[R] = -np.linalg.solve(M.T, lp.A[q, S])
+                y[q] = 1.0
+                hits = np.flatnonzero(np.abs(lp.priced(y, n_real)) > _PIVOT_TOL)
+                if hits.size:
+                    basis[r] = hits[0]
+                else:
+                    kept[r] = lp.live[q] = False
+            basis = basis[kept]
+        status, x_B = _bland_revised(lp, basis, np.r_[cost, np.zeros(m_le)])
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("revised simplex basis is singular") from None
+    x = np.zeros(n_real)
+    x[basis] = x_B
     if status == OPTIMAL:
-        fitted = A_dense @ x[dense]
-        fitted[crash_rows] += x[crash_cols]
-        gap = float(np.max(np.abs(fitted - b_orig)))
-        low = float(-np.min(x))
-        if gap > tol * (1.0 + float(np.max(np.abs(b_orig)))) or low > tol:
-            residual = max(gap, low)
-            raise ConvergenceError(
-                f"tableau simplex vertex misses Ax = b, x >= 0 by {residual:.3e}",
-                residual=residual)
-    return x, status
+        fitted = A @ x[:p]
+        fitted[:m_le] += x[p:]
+        gap, low = float(np.max(np.abs(fitted - b))), float(-np.min(x))
+        if gap > tol * (1.0 + float(np.max(np.abs(b)))) or low > tol:
+            raise ConvergenceError(f"revised simplex vertex misses Au + s = b, u, s >= 0 by "
+                                   f"{max(gap, low):.3e}", residual=max(gap, low))
+    return x[:p], status
 
 
-def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9,
+                  qr: Optional[Tuple[int, np.ndarray]] = None) -> np.ndarray:
     """A vertex alpha of min ||alpha||_1 subject to L alpha = y.
 
     The first r = rank(L) pivot columns of a column-pivoted QR of L are
-    independent, and a pivoted QR of their transpose picks r independent
-    rows; ``l1_column_simplex`` on those rows then starts from these
-    columns as a feasible crash, with no phase 1, even when L is rank
-    deficient or has redundant rows.  The vertex has at most rank(L)
+    independent (``qr`` is its (rank, column order) at this tol, when the
+    caller has it), and a pivoted QR of their transpose picks r
+    independent rows; ``l1_column_simplex`` on those rows then starts from
+    these columns as a feasible crash, with no phase 1, even when L is
+    rank deficient or has redundant rows.  The vertex has at most rank(L)
     nonzeros.  It is rechecked on every row: ConvergenceError carrying
     ||L alpha - y||_inf is raised unless that is at most
     tol (1 + ||y||_inf), which is how an infeasible y shows.
@@ -185,7 +217,7 @@ def basis_pursuit(L: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray
     m, n = L.shape
     if y.size != m:
         raise DomainError("y length must match the number of rows of L")
-    rank, order = _pivoted_qr(L, tol)
+    rank, order = _pivoted_qr(L, tol) if qr is None else qr
     cols = order[:rank]
     alpha = np.zeros(n)
     if rank:
@@ -211,7 +243,7 @@ def vertex_atoms(V: KernelMatrix, y: np.ndarray, tol: float,
     norm are set to zero in alpha; atoms are the (label, coefficient)
     pairs of the rest, in column order.
     """
-    alpha = basis_pursuit(V.array, y, tol)
+    alpha = basis_pursuit(V.array, y, tol, (V.rank, V.order))
     keep = np.abs(alpha) > attain_tol * float(np.sum(np.abs(alpha)))
     alpha[~keep] = 0.0
     return [(V.labels[j], float(alpha[j])) for j in np.flatnonzero(keep)], alpha
@@ -266,15 +298,17 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     cols = np.array(cols, dtype=int)
     if y.size != n or cols.shape != (n,):
         raise DomainError("need one basic column per row of V")
+    x = None
     if signs is None:
-        signs = np.where(_basis_solve(V[:, cols], y) < 0.0, -1.0, 1.0)
+        x = _basis_solve(V[:, cols], y)  # a column flip flips its weight exactly
+        signs, x = np.where(x < 0.0, -1.0, 1.0), np.abs(x)
     signs = np.array(signs, dtype=float)
     max_attempts = _PIVOTS_PER_COLUMN * (n + ncols)
     scale = 1.0 + float(np.max(np.abs(y)))
     ones = np.ones(n)
 
     B = V[:, cols] * signs
-    x = _basis_solve(B, y)
+    x = _basis_solve(B, y) if x is None else x
     c = _basis_solve(B.T, ones)
     g = c @ V
     untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis

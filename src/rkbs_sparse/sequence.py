@@ -11,9 +11,8 @@ whose support size is bounded by the rank of the truncated matrix.
 
 Both dual LPs (the working-set LP of the constraint generation and the
 lexicographic face LP of the minimal-attainment pass) split c into
-c+ - c- >= 0 and hand their standard-form tableau [A | slacks | b]
-straight to the tableau simplex ``optim._solve_standard``; one
-constraint-generation loop grows the working coordinates of both.
+c+ - c- >= 0 and hand their 2n dense columns to ``optim.revised_simplex``;
+one constraint-generation loop grows the working coordinates of both.
 
 An lp-norm solver (1 < p < inf) is included as a contrast: its solution
 is given by a smooth closed form and is generically not sparse.
@@ -30,7 +29,7 @@ import numpy as np
 from .core import (ConvergenceError, DomainError, KernelMatrix, SeqProblem,
                    SequenceFunctional, SparseSolution, TruncationError,
                    make_solution, matrix_rank, scaled_sum)
-from .optim import OPTIMAL, UNBOUNDED, _solve_standard, vertex_atoms
+from .optim import OPTIMAL, UNBOUNDED, revised_simplex, vertex_atoms
 
 MAX_TRUNCATION = 2 ** 20
 _LP_GRAD_TOL = 1e-12  # lp dual: relative projected-gradient stopping norm
@@ -85,12 +84,13 @@ def _certified_truncation(problem: SeqProblem, start: int, level):
         K *= 2
 
 
-def _build_certificate(problem: SeqProblem, c: np.ndarray, start: int) -> DualCertificate:
+def _build_certificate(problem: SeqProblem, c: np.ndarray,
+                       start: int) -> Tuple[DualCertificate, float]:
     """Certify the combination c and read off its attainment set.
 
     The tail bound must sit below (1 - attain_tol) times the sup, which
     proves feasibility of c for the untruncated constraints and confines
-    the attainment set to 1..K.
+    the attainment set to 1..K.  Returns (certificate, sup_k<=K |V^T c|).
     """
     attain_tol = problem.options.attain_tol
 
@@ -109,7 +109,7 @@ def _build_certificate(problem: SeqProblem, c: np.ndarray, start: int) -> DualCe
     combined = scaled_sum(m0 * c, problem.functionals)
     return DualCertificate(coefficients=tuple(float(v) for v in c), value=m0,
                            combined=combined, attainment=attain,
-                           truncation_used=K, margin=margin)
+                           truncation_used=K, margin=margin), sup
 
 
 def _generate_constraints(V: np.ndarray, work: np.ndarray, solve, what: str):
@@ -136,27 +136,19 @@ def _generate_constraints(V: np.ndarray, work: np.ndarray, solve, what: str):
 def _solve_working_lp(problem: SeqProblem, columns: np.ndarray) -> np.ndarray:
     """max c.y s.t. |sum_j c_j v_{j,k}| <= 1 for the working coordinates.
 
-    Standard form over c = c+ - c-: the tableau is T = [A_+- | I | 1]
-    for the rows A = (columns^T, -columns^T), with each coordinate's c+
-    and c- columns side by side and cost (-y_j, +y_j) on them.
+    Over c = c+ - c-, with each coordinate's c+ and c- columns side by
+    side and cost (-y_j, +y_j) on them, the rows (columns^T, -columns^T)
+    are 2W inequalities u-row <= 1.
     """
-    n, W = columns.shape
-    y = problem.y_vector()
-    A = np.vstack([columns.T, -columns.T])
-    T = np.zeros((2 * W, 2 * n + 2 * W + 1))
-    T[:, :2 * n:2] = A
-    T[:, 1:2 * n:2] = -A
-    np.fill_diagonal(T[:, 2 * n:], 1.0)
-    T[:, -1] = 1.0
-    cost = np.zeros(2 * n + 2 * W)
-    cost[:2 * n:2] = -y
-    cost[1:2 * n:2] = y
-    u, status = _solve_standard(T, cost, problem.options.tol)
+    rows = np.vstack([columns.T, -columns.T])
+    A = np.stack([rows, -rows], axis=2).reshape(rows.shape[0], -1)
+    cost = np.stack([-problem.y_vector(), problem.y_vector()], axis=1).ravel()
+    u, status = revised_simplex(A, np.ones(A.shape[0]), cost, A.shape[0], problem.options.tol)
     if status == UNBOUNDED:
         raise DomainError("dual problem unbounded; functionals do not separate y")
     if status != OPTIMAL:
         raise ConvergenceError(f"dual LP failed with status {status}")
-    return (u[:2 * n:2] + 0.0) - u[1:2 * n:2]  # + 0.0 keeps zeros unsigned
+    return (u[::2] + 0.0) - u[1::2]  # + 0.0 keeps zeros unsigned
 
 
 def _dual_solve_generated(problem: SeqProblem):
@@ -189,9 +181,9 @@ def _lex_min_l1_on_face(problem: SeqProblem, columns: np.ndarray,
 
     Split variables u = [c+, c-] >= 0; first minimize sum(c+ + c-) subject
     to the working sup-norm constraints and c.y = m0, then pin each
-    coordinate in turn.  Every LP is the tableau [A | slacks | b]: the
-    2W sup-norm rows (columns^T, -columns^T) as u-rows (r, -r) with one
-    slack each, then the equality rows, each pinning a value it reached.
+    coordinate in turn.  Every LP has the 2W sup-norm rows
+    (columns^T, -columns^T) as u-rows (r, -r) <= 1, then the equality
+    rows, each pinning a value it reached.
     """
     n, W = columns.shape
     y = problem.y_vector()
@@ -201,16 +193,10 @@ def _lex_min_l1_on_face(problem: SeqProblem, columns: np.ndarray,
     eq_rhs: List[float] = [m0]
 
     def solve(obj):
-        T = np.zeros((2 * W + len(eq_rows), 2 * n + 2 * W + 1))
-        T[:2 * W, :2 * n] = ineq
-        T[2 * W:, :2 * n] = eq_rows
-        np.fill_diagonal(T[:2 * W, 2 * n:], 1.0)
-        T[:2 * W, -1] = 1.0
-        T[2 * W:, -1] = eq_rhs
-        cost = np.zeros(2 * n + 2 * W)
-        cost[:2 * n] = obj
-        u, status = _solve_standard(T, cost, tol)
-        return u[:2 * n] + 0.0, status  # + 0.0 keeps zeros unsigned
+        u, status = revised_simplex(np.vstack([ineq] + eq_rows),
+                                    np.concatenate((np.ones(2 * W), eq_rhs)),
+                                    obj, 2 * W, tol)
+        return u + 0.0, status  # + 0.0 keeps zeros unsigned
 
     obj = np.ones(2 * n)
     u, status = solve(obj)
@@ -260,15 +246,12 @@ def dual_solve_l1(problem: SeqProblem, minimal_attainment: bool = False) -> Dual
     if float(np.max(np.abs(y))) == 0.0:
         raise DomainError("y must be nonzero")
     c, K = _dual_solve_generated(problem)
-    cert = _build_certificate(problem, c, K)
+    cert, sup = _build_certificate(problem, c, K)
     if minimal_attainment:
         c = _minimal_attainment_pass(problem, cert.truncation_used, cert.value)
-        cert = _build_certificate(problem, c, cert.truncation_used)
+        cert, sup = _build_certificate(problem, c, cert.truncation_used)
     # the <= 1 relaxation of the norm-one constraint must be tight at the
     # optimum (homogeneity, y != 0)
-    coords = problem.coordinate_matrix(cert.truncation_used).T \
-        @ cert.coefficient_vector()
-    sup = float(np.max(np.abs(coords)))
     if abs(sup - 1.0) > 100.0 * problem.options.tol:
         raise ConvergenceError(
             f"dual optimum is not on the norm-one boundary (sup {sup:.12g})",
@@ -286,9 +269,7 @@ def certificate_from_coefficients(problem: SeqProblem, c: Sequence[float]) -> Du
     c = np.asarray(c, dtype=float)
     if c.size != problem.n:
         raise DomainError("coefficient length must match the number of functionals")
-    cert = _build_certificate(problem, c, problem.options.truncation_start)
-    coords = problem.coordinate_matrix(cert.truncation_used).T @ c
-    sup = float(np.max(np.abs(coords)))
+    cert, sup = _build_certificate(problem, c, problem.options.truncation_start)
     if abs(sup - 1.0) > problem.options.tol * 10.0:
         raise DomainError(f"combination has sup norm {sup:.12g}, expected 1")
     return cert

@@ -7,75 +7,56 @@ import pytest
 import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError, matrix_rank
 import rkbs_sparse.optim as optim_mod
-from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _crash_basis,
-                               _exact_residual, _solve_standard, basis_pursuit,
-                               l1_column_simplex, lasso_residual, prox_l1_solve)
-
-
-def _tableau(A, b, slack_rows=()):
-    """T = [A | one +1 slack column per row in ``slack_rows`` | b]."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    rows = np.asarray(slack_rows, dtype=int)
-    T = np.zeros((m, n + rows.size + 1))
-    T[:, :n] = A
-    T[rows, n + np.arange(rows.size)] = 1.0
-    T[:, -1] = b
-    return T
-
-
-def _cost(c, T):
-    cost = np.zeros(T.shape[1] - 1)
-    cost[:len(c)] = c
-    return cost
+from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _exact_residual,
+                               basis_pursuit, l1_column_simplex, lasso_residual,
+                               prox_l1_solve, revised_simplex)
+from conftest import random_seq_instances
 
 
 def test_lp_two_constraints_vertex():
     # max x1 + x2 s.t. x1 <= 1, x1/2 + x2 <= 1, x >= 0
-    T = _tableau([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], [0, 1])
-    x, status = _solve_standard(T, _cost([-1.0, -1.0], T), 1e-9)
+    x, status = revised_simplex([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], np.array([-1.0, -1.0]),
+                                2, 1e-9)
     assert status == OPTIMAL
-    assert x[:2] == pytest.approx([1.0, 0.5], abs=1e-9)
+    assert x == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
 def test_lp_infeasible():
     # x <= 0 and x == 1 with x >= 0
-    T = _tableau([[1.0], [1.0]], [0.0, 1.0], [0])
-    assert _solve_standard(T, _cost([1.0], T), 1e-9)[1] == INFEASIBLE
+    assert revised_simplex([[1.0], [1.0]], [0.0, 1.0], np.array([1.0]), 1, 1e-9)[1] == INFEASIBLE
 
 
 def test_lp_unbounded():
     # min -x s.t. -x <= 0, x >= 0
-    T = _tableau([[-1.0]], [0.0], [0])
-    assert _solve_standard(T, _cost([-1.0], T), 1e-9)[1] == UNBOUNDED
+    assert revised_simplex([[-1.0]], [0.0], np.array([-1.0]), 1, 1e-9)[1] == UNBOUNDED
 
 
 def test_lp_equality_and_lower_bounds():
     # min x1 + 2 x2 s.t. x1 + x2 == 3, x >= 0
-    x, status = _solve_standard(_tableau([[1.0, 1.0]], [3.0]), np.array([1.0, 2.0]), 1e-9)
+    x, status = revised_simplex([[1.0, 1.0]], [3.0], np.array([1.0, 2.0]), 0, 1e-9)
     assert status == OPTIMAL
     assert x == pytest.approx([3.0, 0.0], abs=1e-9)
 
 
 def test_lp_recheck_catches_a_corrupted_pivot(monkeypatch):
-    # the optimal phase leaves its first basic value off by delta, so the
-    # vertex misses its own constraints by exactly delta; rounding-level
-    # drift passes, a real miss raises and carries the residual
-    bland = optim_mod._bland_phase
+    # the optimal phase leaves its first basic value (x1 = 1) off by delta,
+    # so the vertex misses its own constraints by exactly delta;
+    # rounding-level drift passes, a real miss raises and carries the residual
+    bland = optim_mod._bland_revised
     delta = [0.0]
 
-    def corrupted(T, basis, cost, piv_tol):
-        status = bland(T, basis, cost, piv_tol)
-        T[0, -1] += delta[0]
-        return status
+    def corrupted(lp, basis, cost):
+        status, x_B = bland(lp, basis, cost)
+        x_B[0] += delta[0]
+        return status, x_B
 
-    monkeypatch.setattr(optim_mod, "_bland_phase", corrupted)
-    T = _tableau([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], [0, 1])
+    monkeypatch.setattr(optim_mod, "_bland_revised", corrupted)
+    A, b, cost = [[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], np.array([-1.0, -1.0])
     delta[0] = 1e-12
-    assert _solve_standard(T.copy(), _cost([-1.0, -1.0], T), 1e-9)[1] == OPTIMAL
+    assert revised_simplex(A, b, cost, 2, 1e-9)[1] == OPTIMAL
     delta[0] = 0.25
     with pytest.raises(ConvergenceError) as err:
-        _solve_standard(T.copy(), _cost([-1.0, -1.0], T), 1e-9)
+        revised_simplex(A, b, cost, 2, 1e-9)
     assert err.value.residual == pytest.approx(0.25, rel=1e-12)
 
 
@@ -112,8 +93,7 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
         expected = _enumerate_lp_optimum(c, A, b)
         if expected is None:
             continue
-        T = _tableau(np.hstack([A, -A]), b, np.arange(m + n))
-        u, status = _solve_standard(T, _cost(np.concatenate([-c, c]), T), 1e-9)
+        u, status = revised_simplex(np.hstack([A, -A]), b, np.concatenate([-c, c]), m + n, 1e-9)
         if status != OPTIMAL:
             continue
         assert float(c @ (u[:n] - u[n:2 * n])) == pytest.approx(expected, abs=1e-9)
@@ -121,9 +101,9 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
 
 
 def test_lp_reductions_match_highs_on_random_instances():
-    # every reduction _solve_standard makes: row flips for right-hand sides
-    # of either sign, the slack crash basis of <= rows and the phase-1
-    # artificials of == rows, over x >= 0
+    # every reduction revised_simplex makes: row flips for right-hand sides
+    # of either sign, the slack start basis of <= rows and the phase-1
+    # artificials of == rows and flipped <= rows, over x >= 0
     from scipy.optimize import linprog
     rng = np.random.default_rng(20240607)
     statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
@@ -134,8 +114,8 @@ def test_lp_reductions_match_highs_on_random_instances():
         b = np.round(rng.uniform(-2, 2, m), 2)
         c = np.round(rng.uniform(-1, 1, n), 2)
         le = rng.integers(0, 2, m) == 1
-        T = _tableau(A, b, np.flatnonzero(le))
-        x, status = _solve_standard(T, _cost(c, T), 1e-9)
+        order = np.concatenate([np.flatnonzero(le), np.flatnonzero(~le)])
+        x, status = revised_simplex(A[order], b[order], c, int(le.sum()), 1e-9)
 
         ref = linprog(c, A_ub=A[le] if le.any() else None,
                       b_ub=b[le] if le.any() else None,
@@ -146,7 +126,6 @@ def test_lp_reductions_match_highs_on_random_instances():
         seen.add(status)
         if status != OPTIMAL:
             continue
-        x = x[:n]
         assert float(c @ x) == pytest.approx(ref.fun, abs=1e-9)
         Ax = A @ x
         feas = 1e-9 * (1.0 + np.abs(b))
@@ -156,19 +135,59 @@ def test_lp_reductions_match_highs_on_random_instances():
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
-def test_crash_basis_matches_column_loop():
-    # reference: scan the columns in order; a column with a single nonzero,
-    # equal to +1, claims its row if no earlier column has
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        m, n = int(rng.integers(1, 7)), int(rng.integers(0, 9))
-        A = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0], size=(m, n))
-        expected = np.full(m, -1)
-        for j in range(n):
-            nz = np.nonzero(A[:, j])[0]
-            if nz.size == 1 and expected[nz[0]] == -1 and A[nz[0], j] == 1.0:
-                expected[nz[0]] = j
-        assert _crash_basis(A).tolist() == expected.tolist()
+def test_lp_drops_redundant_equality_rows_and_matches_highs(monkeypatch):
+    # a duplicated equality row and one that is the sum of two others stay
+    # basic on their artificial after phase 1, with an all-zero row of
+    # B^-1 A, so both are dropped before phase 2
+    from scipy.optimize import linprog
+    bland = optim_mod._bland_revised
+    live = []
+
+    def spy(lp, basis, cost):
+        live.append(lp.live.copy())
+        return bland(lp, basis, cost)
+
+    monkeypatch.setattr(optim_mod, "_bland_revised", spy)
+    A_le = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+    b_le = np.array([4.0, 3.0])
+    duplicated = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]]), np.array([2.0, 2.0])
+    e1, e2 = np.array([1.0, -1.0, 0.0, 2.0]), np.array([0.0, 1.0, 1.0, 1.0])
+    summed = np.array([e1, e2, e1 + e2]), np.array([1.0, 1.5, 2.5])
+    for A_eq, b_eq in (duplicated, summed):
+        for c in (np.array([1.0, -1.0, 0.5, 2.0]), np.array([-1.0, -2.0, 1.0, 0.0])):
+            live.clear()
+            x, status = revised_simplex(np.vstack([A_le, A_eq]), np.concatenate([b_le, b_eq]),
+                                        c, 2, 1e-9)
+            ref = linprog(c, A_ub=A_le, b_ub=b_le, A_eq=A_eq, b_eq=b_eq,
+                          bounds=(0, None), method="highs")
+            assert ref.status == 0 and status == OPTIMAL
+            assert float(c @ x) == pytest.approx(ref.fun, abs=1e-9)
+            assert np.all(A_le @ x <= b_le + 1e-9)
+            assert np.max(np.abs(A_eq @ x - b_eq)) <= 1e-9
+            assert np.all(x >= -1e-9)
+            assert len(live) == 2 and live[0].all() and int(np.sum(~live[1])) == 1
+
+
+def test_working_lp_matches_highs_on_random_instances():
+    # the dual working LP max c.y s.t. |V^T c| <= 1 over the first
+    # truncation_start coordinates, on acceptance-style instances with
+    # n <= 8.  HiGHS drops matrix entries below 1e-9 (its small_matrix_value),
+    # which moves the optimum of instance 44 by 5.6e-9 relative, so both
+    # solvers get V with those entries zeroed.
+    from scipy.optimize import linprog
+    from rkbs_sparse.sequence import _solve_working_lp
+    problems = random_seq_instances(100, max_n=8, seed=8128)
+    assert max(p.n for p in problems) == 8
+    for problem in problems:
+        V = problem.coordinate_matrix(problem.options.truncation_start)
+        V = np.where(np.abs(V) < 1e-9, 0.0, V)
+        y = problem.y_vector()
+        c = _solve_working_lp(problem, V)
+        ref = linprog(-y, A_ub=np.vstack([V.T, -V.T]), b_ub=np.ones(2 * V.shape[1]),
+                      bounds=(None, None), method="highs")
+        assert ref.status == 0
+        assert float(c @ y) == pytest.approx(-ref.fun, rel=1e-9)
+        assert float(np.max(np.abs(V.T @ c))) <= 1.0 + problem.options.tol
 
 
 def _gauss_working_set(rng):
@@ -426,8 +445,7 @@ def test_basis_pursuit_midpoint_of_perturbed_optima():
     y = np.array([1.0])
 
     def perturbed(w):
-        u, status = _solve_standard(_tableau(np.hstack([L, -L]), y),
-                                    np.concatenate([w, w]), 1e-9)
+        u, status = revised_simplex(np.hstack([L, -L]), y, np.concatenate([w, w]), 0, 1e-9)
         assert status == OPTIMAL
         return u[:2] - u[2:]
 

@@ -26,6 +26,17 @@ def test_dual_worked_example(worked_example):
     assert -0.5 - 1e-9 <= c[0] <= 1.5 + 1e-9
 
 
+def test_dual_worked_example_returns_the_split_form_vertex(worked_example):
+    # the demo prints this c as "c = [1, 0]", and bench/selftest.py perturbs
+    # that exact string.  [1, 0] attains |V^T c| = 1 at k = 1 only, so it is
+    # not a vertex of the unsplit dual polytope {c : |V^T c| <= 1} (a column
+    # simplex over n = 2 tight rows cannot return it); over c = c+ - c-,
+    # with c2+ = c1- = c2- = 0 tight, it is a vertex of the split LP.
+    assert dual_solve_l1(worked_example).coefficients == (1.0, 0.0)
+    minimal = dual_solve_l1(worked_example, minimal_attainment=True)
+    assert minimal.coefficients == (0.0, 1.0)
+
+
 def test_dual_single_atom_functional():
     problem = rk.seq_problem([rk.finite([1.0])], [2.0])
     cert = dual_solve_l1(problem)
@@ -59,6 +70,20 @@ def test_minimal_attainment_selects_sparser_dual(worked_example):
     cert = dual_solve_l1(worked_example, minimal_attainment=True)
     assert cert.coefficients == pytest.approx([0.0, 1.0], abs=1e-9)
     assert cert.attainment == (1,)
+
+
+def test_minimal_attainment_passes_over_a_rounding_cycle():
+    # in phase 1 of a face LP of this instance the basis reaches
+    # cond(M) ~ 2e8, where reduced costs that are exactly 0 read 4.6e-11 and
+    # 9.3e-10, so Bland's rule would swap two columns back and forth for
+    # ever; the pivot that returns to a basis is refused instead
+    problem = rk.seq_problem([rk.finite([-0.458, 0.242, 0.481, -1.0]), rk.harmonic(),
+                              rk.geometric(0.804611), rk.geometric(0.267931)],
+                             [0.34, -1.739, -1.791, -1.154])
+    plain = dual_solve_l1(problem)
+    minimal = dual_solve_l1(problem, minimal_attainment=True)
+    assert minimal.value == pytest.approx(plain.value, rel=1e-12)
+    assert minimal.attainment == plain.attainment == (1, 3, 13, 14)
 
 
 def test_minimal_attainment_agrees_on_value_and_solution():
