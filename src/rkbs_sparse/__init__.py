@@ -16,7 +16,7 @@ from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    SolverOptions, SparseSolution, TruncationError, finite,
                    functional_eval, functional_tail_bound, gauss_problem,
                    geometric, harmonic, scaled_sum, seq_problem)
-from .optim import basis_pursuit, prox_l1_solve
+from .optim import basis_pursuit, lasso_solve
 from .sequence import (DualCertificate, LpSolution, attainment_set,
                        certificate_from_coefficients, dual_solve_l1,
                        linf_subdiff_extreme_points, mni_solve_l1,

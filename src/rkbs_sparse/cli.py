@@ -428,9 +428,12 @@ def _oracle_verify(parsed: ParsedProblem) -> Dict[str, Any]:
     sol = _measure.mni_solve_measure(base)
     cert = sol.certificate
     c = cert.coefficient_vector()
-    step = min(base.grid_step() / 10.0, 1e-3 * base.sigma)
+    attain_tol = base.options.attain_tol
+    # at this step the scan's error bound step^2 sum|c| / (2 sigma^2) is attain_tol;
+    # sum|c| >= sup|sum_j c_j K(x_j, .)| = 1 for a certificate
+    step = base.sigma * math.sqrt(2.0 * attain_tol / float(np.sum(np.abs(c))))
     scan = _oracle.grid_supremum(c, base, step)
-    feasible = scan.value <= 1.0 + 2.0 * base.options.attain_tol
+    feasible = scan.value + scan.witness["error_bound"] <= 1.0 + 2.0 * attain_tol
     gap = abs(sol.tv_norm - cert.value)
     pairing = _oracle.norming_check_measure(cert, sol, base, 1e-6)
     agree = feasible and gap <= 1e-6 and bool(pairing.agreement)

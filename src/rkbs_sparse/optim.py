@@ -7,9 +7,10 @@ feasible basis of n (column, sign) pairs, which runs the Gaussian
 exchange rounds and basis pursuit (``vertex_atoms`` turns its vertex into
 the atoms of the three pipelines); and the two-phase ``revised_simplex``
 for min cost.u s.t. A u <= b or = b, u >= 0 over a dense block of a few
-columns, which serves the two l1(N) dual LPs in ``sequence``.  Last, a
-restarted accelerated proximal-gradient solver for the square-loss
-l1-regularized subproblem.  Desk scale: a few hundred rows at most.
+columns, which serves the two l1(N) dual LPs in ``sequence``.  Last, an
+exact LASSO solver for the square-loss l1-regularized subproblem, which
+walks the piecewise-linear solution path down in lambda (``lasso_solve``).
+Desk scale: a few hundred rows at most.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .core import ConvergenceError, DomainError, KernelMatrix, _pivoted_qr
 _PIVOT_TOL = 1e-11
 _FEAS_ULPS = 64  # rounding allowance of the column simplex, in ulps of ||x_B||_1
 _PIVOTS_PER_COLUMN = 20  # column simplex attempts per row and column
-_PROX_MAX_ITERS = 200_000  # proximal-gradient iteration cap
+_BREAKPOINTS_PER_COLUMN = 4  # LASSO homotopy breakpoints per row and column of L
+_TIE_RTOL = 1e-12  # LASSO homotopy events this close, relative to lambda_max, coincide
+_TIE_GAIN = 1e-10  # a tied column joins when its correlation outruns lambda by this rate
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 
 OPTIMAL = "optimal"
@@ -391,10 +394,6 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def lasso_residual(L: np.ndarray, alpha: np.ndarray, y: np.ndarray,
                    lam: float) -> float:
     """Worst violation of the subgradient optimality conditions.
@@ -409,43 +408,142 @@ def lasso_residual(L: np.ndarray, alpha: np.ndarray, y: np.ndarray,
     return float(np.max(viol, initial=0.0))
 
 
-def prox_l1_solve(L: np.ndarray, y: np.ndarray, lam: float,
-                  tol: float = 1e-9) -> np.ndarray:
-    """Minimize 0.5||L alpha - y||_2^2 + lam ||alpha||_1.
+def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
+                tol: float = 1e-9) -> np.ndarray:
+    """Minimize 0.5||L alpha - y||_2^2 + lam ||alpha||_1 exactly, by homotopy in lambda.
 
-    Accelerated proximal gradient with step 1/||L^T L||_2 and gradient
-    restarts; stops when the subgradient-condition residual drops below
-    ``tol``.  Raises ConvergenceError carrying the last residual once
-    ``_PROX_MAX_ITERS`` iterations are spent.
+    The solution path is piecewise linear in lambda (Osborne, Presnell &
+    Turlach 2000).  The walk starts at lambda_max = ||L^T y||_inf with
+    alpha = 0 and carries the equicorrelation set E, columns with
+    |L_j^T (y - L alpha)| = lambda that carry the path, and their signs s.
+    On each segment alpha_E(lambda) = L_E^+ y - lambda (L_E^T L_E)^+ s
+    (Tibshirani 2013, "The lasso problem and uniqueness", section 3.1),
+    re-derived from one SVD of L_E at every breakpoint.  The next
+    breakpoint is the largest lambda below the current one at which a
+    column outside E reaches |correlation| = lambda or a coefficient in E
+    crosses zero.  Every event within _TIE_RTOL lambda_max of it happens
+    there too, and so do the columns whose correlation rides on +-lambda;
+    ``_carrying_columns`` picks which of these tied columns carry the next
+    segment, which keeps the columns of E linearly independent even where
+    columns of L tie or repeat.  The walk ends at the first breakpoint at
+    or below lam, and alpha is read off that segment.
+
+    Raises ConvergenceError carrying ``lasso_residual`` of the returned
+    alpha once _BREAKPOINTS_PER_COLUMN (rows + columns) breakpoints are
+    spent, or when that residual exceeds ``tol``.
     """
     if not lam > 0:
         raise DomainError("lam must be strictly positive")
     L = np.atleast_2d(np.asarray(L, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = L.shape[1]
-    lip = float(np.linalg.norm(L, 2)) ** 2
-    if lip == 0.0:
-        return np.zeros(n)
-    step = 1.0 / lip
-
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(y))):
+        raise DomainError("L and y must be finite")
+    m, n = L.shape
+    corr = L.T @ y
+    lam_k = float(np.max(np.abs(corr), initial=0.0))
     alpha = np.zeros(n)
-    z = alpha.copy()
-    t_acc = 1.0
-    residual = lasso_residual(L, alpha, y, lam)
-    if residual <= tol:
+    if lam >= lam_k:
         return alpha
-    for _ in range(_PROX_MAX_ITERS):
-        grad = L.T @ (L @ z - y)
-        alpha_next = _soft_threshold(z - step * grad, step * lam)
-        if float((z - alpha_next) @ (alpha_next - alpha)) > 0.0:
-            t_acc = 1.0  # gradient restart
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = alpha_next + ((t_acc - 1.0) / t_next) * (alpha_next - alpha)
-        alpha = alpha_next
-        t_acc = t_next
-        residual = lasso_residual(L, alpha, y, lam)
-        if residual <= tol:
-            return alpha
-    raise ConvergenceError(
-        f"proximal solver did not reach residual {tol:g} in {_PROX_MAX_ITERS} iterations "
-        f"(last residual {residual:.3e})", residual=residual)
+    window = _TIE_RTOL * lam_k
+    E = np.flatnonzero(np.abs(corr) >= lam_k - window)
+    s = np.sign(corr[E])
+    free = np.zeros(E.size, dtype=bool)
+    max_breakpoints = _BREAKPOINTS_PER_COLUMN * (m + n)
+    breakpoints = 0
+    while True:
+        keep, (U, sv, Vt) = _carrying_columns(L[:, E], s, free)
+        E, s = E[keep], s[keep]
+        c, d = Vt.T @ ((U.T @ y) / sv), Vt.T @ ((Vt @ s) / (sv * sv))
+        # correlations on the segment are a + lambda b; alpha_E is c - lambda d
+        a = L.T @ (y - L[:, E] @ c)
+        b = L.T @ (L[:, E] @ d)
+        below = lam_k - window
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, down, crossing = a / (1.0 - b), a / (-1.0 - b), c / d
+        # the event times below lam_k: the first |correlation| = lambda outside E
+        # and the zero crossings in E (nan compares false and drops out)
+        join = np.maximum(np.where(up < below, up, -np.inf), np.where(down < below, down, -np.inf))
+        join[E] = -np.inf
+        crossing = np.where(crossing < below, crossing, -np.inf)
+        lam_next = max(float(np.max(join)), float(np.max(crossing, initial=-np.inf)))
+        if lam_next <= lam:
+            break
+        if breakpoints == max_breakpoints:
+            alpha[E] = c - lam * d
+            residual = lasso_residual(L, alpha, y, lam)
+            raise ConvergenceError(
+                f"LASSO homotopy exceeded {max_breakpoints} breakpoints above lambda = "
+                f"{lam:g} (residual {residual:.3e})", residual=residual)
+        breakpoints += 1
+        # the tied columns: those that reach lambda here and those riding on it
+        rho = a + lam_next * b
+        tied = (join >= lam_next - window) | (np.abs(rho) >= lam_next - window)
+        tied[E] = False
+        joins = np.flatnonzero(tied)
+        free = np.concatenate((crossing < lam_next - window, np.zeros(joins.size, dtype=bool)))
+        E = np.concatenate((E, joins))
+        s = np.concatenate((s, np.sign(rho[joins])))
+        lam_k = lam_next
+    alpha_E = c - lam * d
+    # a coefficient crossing zero within rounding of lam may show the wrong sign
+    alpha[E] = np.where(s * alpha_E > 0.0, alpha_E, 0.0)
+    residual = lasso_residual(L, alpha, y, lam)
+    if residual > tol:
+        raise ConvergenceError(f"LASSO homotopy solution misses the optimality conditions "
+                               f"by {residual:.3e}", residual=residual)
+    return alpha
+
+
+def _carrying_columns(L_T: np.ndarray, s: np.ndarray, free: np.ndarray):
+    """(mask, SVD of its columns): the tied columns that carry the LASSO path on.
+
+    Below a breakpoint alpha_T moves by (lambda_k - lambda) d, where
+    z = s d minimizes 0.5 ||L_T d||^2 - s.d subject to z_j >= 0 wherever
+    alpha_j is zero at the breakpoint (not ``free``): a zero column with
+    z_j > 0 joins, and the rest keep |correlation| <= lambda, since
+    1 - s_j L_j^T L_T d <= 0 for them.  With one event this is the usual
+    rule (a column reaching lambda joins, a coefficient reaching zero
+    leaves); on ties it decides which tied columns move.  Solved by Lawson
+    & Hanson's active-set method from the free columns, each step the
+    minimum-norm d on the passive columns (``_pinv_svd``).  A column in the
+    span of the passive ones has gain 0, so it is never added, and the
+    columns that carry the path stay linearly independent: the segment's
+    minimum-norm alpha_E then is the path itself, signs included.
+    """
+    k = s.size
+    passive = free.copy()
+    z = np.zeros(k)
+    for _ in range(4 * k + 2):  # each pass drops a column or ends with one added
+        svd = _pinv_svd(L_T[:, passive])
+        _, sv, Vt = svd
+        z_p = np.zeros(k)
+        z_p[passive] = s[passive] * (Vt.T @ ((Vt @ s[passive]) / (sv * sv)))
+        blocked = passive & ~free & (z_p <= _TIE_RTOL * float(np.max(np.abs(z_p), initial=0.0)))
+        if blocked.any():  # step from z toward z_p until the first blocked column hits 0
+            ratio = np.full(k, np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio[blocked] = np.clip(np.nan_to_num(z[blocked] / (z[blocked] - z_p[blocked])),
+                                         0.0, 1.0)
+            j = int(np.argmin(ratio))
+            z += ratio[j] * (z_p - z)
+            z[j] = 0.0
+            passive &= free | (z > 0.0)
+            continue
+        z = z_p
+        gain = np.where(passive, -np.inf, 1.0 - s * (L_T.T @ (L_T @ (s * z))))
+        j = int(np.argmax(gain))
+        if not gain[j] > _TIE_GAIN:
+            return passive, svd
+        passive[j] = True
+    raise ConvergenceError(f"LASSO homotopy found no direction at a tie of {k} columns")
+
+
+def _pinv_svd(L_E: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, sv, Vt) of L_E without its zero singular values.
+
+    Singular values at or below max(shape) eps times the largest count as
+    zero, the cutoff of numpy's matrix_rank, so L_E^+ = Vt^T diag(1/sv) U^T.
+    """
+    U, sv, Vt = np.linalg.svd(L_E, full_matrices=False)
+    keep = sv > np.max(sv, initial=0.0) * max(L_E.shape) * np.finfo(float).eps
+    return U[:, keep], sv[keep], Vt[keep]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    RkbsError, SeqProblem, SparseSolution, make_solution)
-from .optim import prox_l1_solve, vertex_atoms
+from .optim import lasso_solve, vertex_atoms
 from . import measure as _measure
 from . import sequence as _sequence
 
@@ -110,7 +110,7 @@ def _zero_solution(y: np.ndarray, n: int, tol: float) -> SparseSolution:
 def _vertexify(mat: np.ndarray, labels: Sequence[float], alpha: np.ndarray,
                y: np.ndarray, lam: float, tol: float, attain_tol: float,
                n: int) -> SparseSolution:
-    """Map a proximal minimizer to an extreme point of the solution set.
+    """Map a LASSO minimizer to an extreme point of the solution set.
 
     All minimizers share the fitted vector L alpha and the l1 norm, so
     basis pursuit restricted to the active columns (those with
@@ -141,11 +141,18 @@ def _reg_solution(atoms, misfit: np.ndarray, lam: float, rank: int, n: int,
 
 
 def _reg_solve_seq(problem: SeqProblem, lam: float) -> SparseSolution:
+    """The l1(N) LASSO: one exact homotopy solve per truncation level.
+
+    At each level K, ``lasso_solve`` walks the path on the first K
+    coordinates down to lam; the level is certified once the tail bound of
+    the misfit a = V alpha - y proves the off-range inequalities, and the
+    vertex step then picks an extreme point of that level's solution set.
+    """
     opts = problem.options
     y = problem.y_vector()
 
     def level(K, V):
-        alpha = prox_l1_solve(V, y, lam, tol=opts.tol)
+        alpha = lasso_solve(V, y, lam, tol=opts.tol)
         # |<a, column k>| <= sum_i |a_i| tail_i(K) for every k > K, so once
         # that bound sits below lambda the off-range inequalities hold
         return V @ alpha - y, lam * (1.0 - 1e-6), (V, alpha)
@@ -226,7 +233,7 @@ def _reg_solve_gauss(problem: GaussProblem, lam: float) -> SparseSolution:
     rounds = []  # (support, objective, V, alpha) of each round
     for _ in range(_SUPPORT_ROUNDS):
         V = _measure.kernel_matrix(problem, sites, opts.tol)
-        alpha = prox_l1_solve(V.array, y, lam, tol=opts.tol)
+        alpha = lasso_solve(V.array, y, lam, tol=opts.tol)
         fitted = V.array @ alpha
         if float(np.sum(np.abs(alpha))) == 0.0:
             return _zero_solution(y, problem.n, opts.tol)
@@ -275,9 +282,10 @@ def _polish_gauss_solution(problem: GaussProblem, V: KernelMatrix,
 def reg_solve(problem: RegProblem) -> SparseSolution:
     """Solve the square-loss l1-regularized problem.
 
-    Sequence problems solve one proximal subproblem on a certified
-    truncation range (the tail bound proves the off-range optimality
-    inequalities); Gaussian problems iterate the attainment-set machinery
+    Sequence problems solve the finite LASSO exactly by homotopy in lambda
+    on a certified truncation range (the tail bound proves the off-range
+    optimality inequalities); Gaussian problems iterate the attainment-set
+    machinery, with one homotopy solve over the current sites per round,
     to a support fixed point, or, when the supports cycle, settle on the
     round with the least objective.  Outputs pass ``lambda_certificate``.
     """

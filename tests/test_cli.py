@@ -334,6 +334,30 @@ def test_oracle_verify_gaussian(tmp_path):
     assert report["duality_gap"] <= 1e-6
 
 
+def test_oracle_verify_gaussian_feasibility_includes_the_scan_error_bound(tmp_path):
+    code, text = _run(tmp_path, ["oracle-verify"], GAUSS_DOC)
+    report = json.loads(text)
+    attain_tol = report["provenance"]["options"]["attain_tol"]
+    assert report["scan_error_bound"] <= attain_tol * (1.0 + 1e-12)
+    assert report["grid_sup"] + report["scan_error_bound"] <= 1.0 + 2.0 * attain_tol
+
+
+def test_oracle_verify_gaussian_rejects_a_scaled_dual(tmp_path, monkeypatch):
+    import dataclasses
+    solve = cli._measure.mni_solve_measure
+
+    def scaled(problem):
+        sol = solve(problem)
+        cert = sol.certificate
+        c = tuple(v * (1.0 + 1e-6) for v in cert.coefficients)
+        return dataclasses.replace(sol, certificate=dataclasses.replace(cert, coefficients=c))
+
+    monkeypatch.setattr(cli._measure, "mni_solve_measure", scaled)
+    code, text = _run(tmp_path, ["oracle-verify"], GAUSS_DOC)
+    assert code == cli.EXIT_MISMATCH
+    assert json.loads(text)["agreement"] is False
+
+
 def test_oracle_verify_lp_requires_p2(tmp_path):
     doc = {"schema": "rkbs-sparse/1", "space": "lp", "task": "mni", "p": 3.0,
            "functionals": WORKED_DOC["functionals"], "y": [1.0, 1.0]}

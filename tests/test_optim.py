@@ -9,7 +9,7 @@ from rkbs_sparse.core import ConvergenceError, DomainError, matrix_rank
 import rkbs_sparse.optim as optim_mod
 from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _exact_residual,
                                basis_pursuit, l1_column_simplex, lasso_residual,
-                               prox_l1_solve, revised_simplex)
+                               lasso_solve, revised_simplex)
 from conftest import random_seq_instances
 
 
@@ -459,12 +459,12 @@ def test_basis_pursuit_midpoint_of_perturbed_optima():
 
 
 def test_prox_soft_threshold_identity():
-    alpha = prox_l1_solve(np.eye(2), np.array([1.0, 1.0]), 0.5, tol=1e-10)
+    alpha = lasso_solve(np.eye(2), np.array([1.0, 1.0]), 0.5, tol=1e-10)
     assert alpha == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_prox_zero_above_lambda_max():
-    alpha = prox_l1_solve(np.eye(2), np.array([1.0, 1.0]), 1.5, tol=1e-10)
+    alpha = lasso_solve(np.eye(2), np.array([1.0, 1.0]), 1.5, tol=1e-10)
     assert alpha == pytest.approx([0.0, 0.0], abs=0.0)
 
 
@@ -472,7 +472,7 @@ def test_prox_small_lambda_limits_to_least_squares():
     L = np.array([[2.0, 0.3], [-0.4, 1.1]])
     y = np.array([1.0, -0.7])
     tol = 1e-10
-    alpha = prox_l1_solve(L, y, 1e-12, tol=tol)
+    alpha = lasso_solve(L, y, 1e-12, tol=tol)
     assert alpha == pytest.approx(np.linalg.solve(L, y), abs=10 * tol)
 
 
@@ -483,21 +483,165 @@ def test_prox_output_passes_lambda_certificate():
         L = rng.normal(size=(m, n))
         y = rng.normal(size=m)
         lam = float(rng.uniform(0.05, 1.0))
-        alpha = prox_l1_solve(L, y, lam, tol=1e-10)
+        alpha = lasso_solve(L, y, lam, tol=1e-10)
         cert = rk.lambda_certificate(L, alpha, y, lam, tol=1e-9)
         assert cert.verdict
         assert lasso_residual(L, alpha, y, lam) <= 1e-10
 
 
-def test_prox_iteration_cap_raises_with_residual(monkeypatch):
-    monkeypatch.setattr(optim_mod, "_PROX_MAX_ITERS", 5)
-    L = np.array([[1.0, 0.999999], [0.999999, 1.0]])
-    y = np.array([1.0, -1.0])
-    with pytest.raises(ConvergenceError) as err:
-        prox_l1_solve(L, y, 1e-8, tol=1e-16)
+def test_lasso_breakpoint_cap_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(optim_mod, "_BREAKPOINTS_PER_COLUMN", 0)
+    L = np.array([[1.0, 0.5], [0.0, 1.0]])
+    y = np.array([1.0, 1.0])  # column 1 is active first, column 0 joins at lambda = 2/3
+    with pytest.raises(ConvergenceError, match="breakpoints") as err:
+        lasso_solve(L, y, 1e-8, tol=1e-10)
     assert math.isfinite(err.value.residual)
 
 
 def test_prox_rejects_nonpositive_lambda():
     with pytest.raises(DomainError):
-        prox_l1_solve(np.eye(2), np.array([1.0, 1.0]), 0.0)
+        lasso_solve(np.eye(2), np.array([1.0, 1.0]), 0.0)
+
+
+def test_lasso_rejects_non_finite_data():
+    with pytest.raises(DomainError):
+        lasso_solve(np.array([[1.0, math.nan]]), np.array([1.0]), 0.1)
+    with pytest.raises(DomainError):
+        lasso_solve(np.eye(2), np.array([1.0, math.inf]), 0.1)
+
+
+def _lasso_by_enumeration(L, y, lam, tol=1e-9):
+    """(objective, alpha) of the LASSO from its KKT conditions, by enumeration.
+
+    Some solution has linearly independent support columns, so trying every
+    support of size <= rank with every sign pattern, solving
+    L_S^T L_S alpha_S = L_S^T y - lam s, and keeping a solution whose signs
+    are s and whose correlations all satisfy |L^T (y - L alpha)| <= lam finds
+    one.
+    """
+    m, n = L.shape
+    rank = matrix_rank(L, 1e-12)
+    for size in range(rank + 1):
+        for support in itertools.combinations(range(n), size):
+            S = list(support)
+            G = L[:, S].T @ L[:, S]
+            if size and matrix_rank(L[:, S], 1e-12) < size:
+                continue
+            for signs in itertools.product((1.0, -1.0), repeat=size):
+                s = np.array(signs)
+                alpha = np.zeros(n)
+                if size:
+                    alpha[S] = np.linalg.solve(G, L[:, S].T @ y - lam * s)
+                    if np.any(alpha[S] * s <= 0.0):
+                        continue
+                if np.max(np.abs(L.T @ (y - L @ alpha))) <= lam + tol:
+                    misfit = L @ alpha - y
+                    return 0.5 * float(misfit @ misfit) + lam * float(np.sum(np.abs(alpha))), alpha
+    raise AssertionError("no support passes the KKT check")
+
+
+def _assert_matches_enumeration(L, y, lam):
+    ref_obj, ref = _lasso_by_enumeration(L, y, lam)
+    alpha = lasso_solve(L, y, lam, tol=1e-10)
+    misfit = L @ alpha - y
+    objective = 0.5 * float(misfit @ misfit) + lam * float(np.sum(np.abs(alpha)))
+    assert objective == pytest.approx(ref_obj, rel=1e-12, abs=1e-14)
+    # the fitted vector and the l1 norm are the same for every solution
+    assert L @ alpha == pytest.approx(L @ ref, abs=1e-9)
+    assert float(np.sum(np.abs(alpha))) == pytest.approx(float(np.sum(np.abs(ref))), abs=1e-9)
+    assert lasso_residual(L, alpha, y, lam) <= 1e-10
+
+
+def test_lasso_matches_enumeration_on_random_problems():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        L = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        lam = float(rng.uniform(0.02, 1.0)) * float(np.max(np.abs(L.T @ y)))
+        _assert_matches_enumeration(L, y, lam)
+
+
+def test_lasso_matches_enumeration_with_duplicate_and_proportional_columns():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        base = rng.normal(size=(3, 3))
+        # a duplicate, a negated and a scaled copy of the base columns
+        L = np.column_stack((base, base[:, 0], -base[:, 1], 2.0 * base[:, 2], 0.5 * base[:, 0]))
+        y = rng.normal(size=3)
+        for frac in (0.05, 0.3, 0.8):
+            _assert_matches_enumeration(L, y, frac * float(np.max(np.abs(L.T @ y))))
+
+
+@pytest.mark.parametrize("L, y", [
+    # two columns tie at lambda_max; one must leave the moment the walk starts
+    ([[0, -1], [1, -2], [1, -1]], [2, -2, -1]),
+    # five columns of a rank-4 L stay equicorrelated over a stretch of lambda
+    ([[-2, -1, 1, 0, 0, 2, 2], [-2, -1, -2, 2, 1, -1, 0], [2, 2, 2, 1, 0, 2, 0],
+      [0, -2, 1, -2, 2, -1, 0]], [0, -1, -3, 1]),
+    # a column tied at lambda_max whose direction is zero up to rounding
+    ([[2, -1, 2, 1, -1, 0, 2], [2, 2, -1, 2, 0, 2, 1], [0, -1, 2, 2, -2, -1, -1],
+      [1, 1, 2, 1, -2, 1, 0]], [3, 0, -2, 2]),
+    # three columns tie at one breakpoint of a rank-3 L
+    ([[-2, 1, -2, 1, 2, 2, 2], [2, 2, 2, 2, -1, 2, 1], [-1, 2, 1, 2, 1, 2, 0]], [3, 1, 2]),
+])
+def test_lasso_matches_enumeration_through_degenerate_ties(L, y):
+    L, y = np.array(L, dtype=float), np.array(y, dtype=float)
+    for frac in (0.001, 0.1, 0.5, 0.9):
+        _assert_matches_enumeration(L, y, frac * float(np.max(np.abs(L.T @ y))))
+
+
+def test_lasso_matches_enumeration_on_small_integer_problems():
+    rng = np.random.default_rng(41)  # integer entries make ties common
+    for _ in range(40):
+        m, n = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+        L = rng.integers(-2, 3, size=(m, n)).astype(float)
+        y = rng.integers(-3, 4, size=m).astype(float)
+        lam_max = float(np.max(np.abs(L.T @ y)))
+        if lam_max == 0.0:
+            continue
+        for frac in (0.01, 0.3, 0.7):
+            _assert_matches_enumeration(L, y, frac * lam_max)
+
+
+def test_lasso_single_row():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        L = rng.normal(size=(1, 5))
+        y = rng.normal(size=1)
+        for frac in (1e-6, 0.4, 0.99):
+            _assert_matches_enumeration(L, y, frac * float(np.max(np.abs(L.T @ y))))
+
+
+def test_lasso_identity_tie_moves_both_columns_together():
+    # criterion 7: e1, e2 truncated to 8 coordinates, y = [1, 1], lambda_max = 1
+    L = np.eye(2, 8)
+    y = np.array([1.0, 1.0])
+    counts = []
+    for lam, value in ((0.5, 0.5), (0.9, 0.1), (1.5, 0.0)):
+        alpha = lasso_solve(L, y, lam, tol=1e-12)
+        assert alpha[:2] == pytest.approx([value, value], abs=1e-15)
+        assert not np.any(alpha[2:])
+        counts.append(int(np.count_nonzero(alpha)))
+    assert counts == [2, 2, 0]
+
+
+def test_lasso_at_or_above_lambda_max_returns_exact_zeros():
+    rng = np.random.default_rng(31)
+    L = rng.normal(size=(3, 6))
+    y = rng.normal(size=3)
+    lam_max = float(np.max(np.abs(L.T @ y)))
+    for lam in (lam_max, 1.5 * lam_max):
+        alpha = lasso_solve(L, y, lam)
+        assert np.array_equal(alpha, np.zeros(6))
+
+
+def test_lasso_tiny_lambda_reaches_the_basis_pursuit_norm():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        L = rng.normal(size=(3, 7))
+        y = rng.normal(size=3)
+        alpha = lasso_solve(L, y, 1e-10, tol=1e-10)
+        bp = basis_pursuit(L, y, 1e-12)
+        assert float(np.sum(np.abs(alpha))) == pytest.approx(float(np.sum(np.abs(bp))), abs=1e-8)
+        assert float(np.max(np.abs(L @ alpha - y))) <= 1e-8
