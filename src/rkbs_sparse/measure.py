@@ -19,11 +19,11 @@ localize it accurately.  Two safeguards deal with this: refined maxima
 are replaced by the midpoint of a tiny level-set plateau (exact for the
 symmetric flat case), and the final primal-dual pair is polished by a
 Newton iteration on the joint stationarity system, whose interpolation
-rows pin the atom locations with full quadratic convergence.  The
-plateau search is batched: both edges of every seed of a scan share one
-kernel call per stage, a doubling stage and then bisection stages of 63
-points per bracket, so a scan costs about ten kernel calls however many
-maxima it refines.
+rows pin the atom locations with full quadratic convergence.  A scan
+refines all its seeds at once: its Newton rounds share one kernel call
+per derivative, and its plateau search one kernel call per stage (a
+doubling stage, then bisection stages of 31 points per bracket), so its
+kernel calls do not grow with the number of maxima it refines.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .optim import l1_column_simplex, vertex_atoms
 _DERIV_TOL = 1e-10
 _FLAT_EPS = 1e-12
 _MAX_SCAN_POINTS = 2 ** 20  # the exchange method densifies its scan grid up to this
-_STAGE_POINTS = 63  # points per bracket in one bisection stage of the plateau search
+_STAGE_POINTS = 31  # points per bracket in one bisection stage of the plateau search
 
 
 def _kernel(problem: GaussProblem, t) -> np.ndarray:
@@ -79,39 +79,46 @@ def gauss_eval_deriv(c: Sequence[float], problem: GaussProblem, x) -> float | np
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _eval_second(c: np.ndarray, problem: GaussProblem, x: float) -> float:
-    return float(_kernel_dtt(problem, x) @ c)
+def _refine_maxima(c: np.ndarray, problem: GaussProblem, t0, step: float,
+                   s) -> np.ndarray:
+    """Polish local maxima of |g| = s*g by safeguarded Newton on g'.
 
-
-def _refine_maximum(c: np.ndarray, problem: GaussProblem, t0: float,
-                    step: float, s: float) -> float:
-    """Polish a local maximum of |g| = s*g by safeguarded Newton on g'."""
+    Every seed t0[i] (with sign s[i]) iterates on its own in the bracket
+    [t0 - step, t0 + step] clipped to the domain, at most 100 rounds, and
+    stops once |g'| <= ``_DERIV_TOL``.  A Newton step that leaves the
+    bracket, or meets g'' >= 0, falls back to one bisection of the bracket
+    while s*g' changes sign from + to - across it, and stops the seed when
+    it does not.  The live seeds share one ``_kernel_dt`` and one
+    ``_kernel_dtt`` call per round, plus one ``_kernel_dt`` call at the
+    bracket ends and midpoints of the seeds that fall back.
+    """
     lo, hi = problem.domain
-
-    def d1(t):
-        return s * gauss_eval_deriv(c, problem, t)
-
-    a = max(lo, t0 - step)
-    b = min(hi, t0 + step)
-    t = t0
+    t = np.array(t0, dtype=float)
+    s = np.asarray(s, dtype=float)
+    a = np.maximum(lo, t - step)
+    b = np.minimum(hi, t + step)
+    live = np.arange(t.size)
     for _ in range(100):
-        g1 = d1(t)
-        if abs(g1) <= _DERIV_TOL:
+        g1 = s[live] * (_kernel_dt(problem, t[live]) @ c)
+        moving = np.abs(g1) > _DERIV_TOL
+        live, g1 = live[moving], g1[moving]
+        if live.size == 0:
             break
-        g2 = s * _eval_second(c, problem, t)
-        t_new = t - g1 / g2 if g2 < 0 else math.nan
-        if not (a < t_new < b):
-            # bisection fallback keeps the bracket around the sign change
-            if d1(a) > 0 > d1(b):
-                t_new = 0.5 * (a + b)
-                if d1(t_new) > 0:
-                    a = t_new
-                else:
-                    b = t_new
-                t = 0.5 * (a + b)
-                continue
-            break
-        t = t_new
+        g2 = s[live] * (_kernel_dtt(problem, t[live]) @ c)
+        t_new = t[live] - np.divide(g1, g2, out=np.full(live.size, math.nan), where=g2 < 0)
+        newton = (a[live] < t_new) & (t_new < b[live])
+        t[live[newton]] = t_new[newton]
+        # bisection fallback keeps the bracket around the sign change
+        out = live[~newton]
+        if out.size:
+            mid = 0.5 * (a[out] + b[out])
+            d1 = s[out, None] * (_kernel_dt(problem, np.stack([a[out], b[out], mid], 1)) @ c)
+            bisect = (d1[:, 0] > 0) & (0 > d1[:, 1])
+            up = d1[:, 2] > 0
+            a[out[bisect & up]] = mid[bisect & up]
+            b[out[bisect & ~up]] = mid[bisect & ~up]
+            t[out[bisect]] = 0.5 * (a[out[bisect]] + b[out[bisect]])
+            live = np.concatenate([live[newton], out[bisect]])
     return t
 
 
@@ -152,7 +159,7 @@ def _plateau_midpoints(c: np.ndarray, problem: GaussProblem, ts) -> List[float]:
     # bisection stages over every bracket still wider than sigma*1e-13
     levels = np.repeat(theta[ok], 2)
     frac = np.arange(_STAGE_POINTS + 2) / (_STAGE_POINTS + 1.0)
-    for _ in range(14):  # as fine as the 80 halvings of plain bisection
+    for _ in range(16):  # as fine as the 80 halvings of plain bisection
         rows = np.nonzero(np.abs(t_out - t_in) > problem.sigma * 1e-13)[0]
         if rows.size == 0:
             break
@@ -206,9 +213,10 @@ def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
         keep_above *= sup
     curv = float(np.sum(np.abs(c))) / problem.sigma ** 2
     slack = 0.5 * step * step * curv
-    refined = [_refine_maximum(c, problem, float(grid[i]), step,
-                               1.0 if g[i] >= 0 else -1.0)
-               for i in _local_maxima(vals) if vals[i] >= keep_above - slack]
+    seeds = _local_maxima(vals)
+    seeds = seeds[vals[seeds] >= keep_above - slack]
+    refined = _refine_maxima(c, problem, grid[seeds], step,
+                             np.where(g[seeds] >= 0, 1.0, -1.0))
     return sup, _plateau_midpoints(c, problem, refined)
 
 
@@ -304,10 +312,10 @@ def _certificate(problem: GaussProblem, c: np.ndarray, iters: int,
     stable = (len(points) == len(points_fine)
               and all(abs(a - b) <= problem.sigma * 1e-5
                       for a, b in zip(points, points_fine)))
-    for t in points:
-        if abs(gauss_eval_deriv(c, problem, t)) > 1e-6:
-            raise ConvergenceError(
-                f"attainment point {t:g} is not stationary", residual=violation)
+    moving = np.abs(gauss_eval_deriv(c, problem, np.asarray(points))) > 1e-6
+    if moving.any():
+        raise ConvergenceError(f"attainment point {points[int(np.argmax(moving))]:g} "
+                               "is not stationary", residual=violation)
     sup = float(np.max(np.abs(gauss_eval(c, problem, np.asarray(points)))))
     m0 = float(problem.y_vector() @ c)
     return ContinuousDualCertificate(
@@ -358,7 +366,7 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
             return _certificate(problem, c, it, max(violation, 0.0))
         added = False
         for _, t in cand[:5]:
-            if all(abs(t - w) > problem.sigma * 1e-12 for w in working):
+            if np.min(np.abs(np.asarray(working) - t)) > problem.sigma * 1e-12:
                 working.append(t)
                 added = True
         if not added:

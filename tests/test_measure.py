@@ -453,6 +453,103 @@ def test_plateau_search_keeps_seed_whose_plateau_reaches_the_domain_edge():
     assert abs(gauss_eval(c, wide, moved)) > abs(gauss_eval(c, wide, seed))
 
 
+def _refine_maximum_reference(c, problem, t0, step, s):
+    """One seed at a time: safeguarded Newton on g' with a bisection fallback."""
+    import rkbs_sparse.measure as measure_mod
+    lo, hi = problem.domain
+
+    def d1(t):
+        return s * gauss_eval_deriv(c, problem, t)
+
+    a = max(lo, t0 - step)
+    b = min(hi, t0 + step)
+    t = t0
+    for _ in range(100):
+        g1 = d1(t)
+        if abs(g1) <= measure_mod._DERIV_TOL:
+            break
+        g2 = s * float(measure_mod._kernel_dtt(problem, t) @ c)
+        t_new = t - g1 / g2 if g2 < 0 else math.nan
+        if not (a < t_new < b):
+            # bisection fallback keeps the bracket around the sign change
+            if d1(a) > 0 > d1(b):
+                t_new = 0.5 * (a + b)
+                if d1(t_new) > 0:
+                    a = t_new
+                else:
+                    b = t_new
+                t = 0.5 * (a + b)
+                continue
+            break
+        t = t_new
+    return t
+
+
+def _refinement_bound(c, problem, ref):
+    # both stop once |g'| <= _DERIV_TOL, which pins t to that over |g''|;
+    # sums in another order move g' in its last bits
+    import rkbs_sparse.measure as measure_mod
+    curv = abs(float(measure_mod._kernel_dtt(problem, ref) @ c))
+    return 2.0 * measure_mod._DERIV_TOL / curv + problem.sigma * 1e-13
+
+
+@pytest.mark.parametrize("index", [0, 4, 8])
+def test_refinement_matches_scalar_reference(monkeypatch, index):
+    # every seed of every scan of a full solve against the scalar loop
+    import rkbs_sparse.measure as measure_mod
+    problem = _family_problem(index)
+    refined = []
+    batched = measure_mod._refine_maxima
+
+    def recording(c, problem, t0, step, s):
+        out = batched(c, problem, t0, step, s)
+        refined.append((np.array(c), np.array(t0), step, np.array(s), out))
+        return out
+
+    monkeypatch.setattr(measure_mod, "_refine_maxima", recording)
+    mni_solve_measure(problem)
+    assert sum(t0.size for _, t0, _, _, _ in refined) >= 50
+    for c, t0, step, s, out in refined:
+        assert out.shape == t0.shape
+        for t_seed, sign, t in zip(t0, s, out):
+            ref = _refine_maximum_reference(c, problem, float(t_seed), step, float(sign))
+            assert abs(t - ref) <= _refinement_bound(c, problem, ref)
+
+
+def test_refinement_branches_match_scalar_reference():
+    from rkbs_sparse.measure import _refine_maxima
+    # g = K(-6, .) - K(6, .): a maximum of g at -6 and of -g at 6
+    p = rk.gauss_problem([-6.0, 6.0], 1.0, [1.0, -1.0])
+    c = np.array([1.0, -1.0])
+    t0 = np.array([
+        -6.0,  # already stationary: |g'| is about 1e-30
+        6.9,   # Newton lands near 2.2, outside [5.9, 7.9]: bisect toward 6
+        -3.0,  # g'' > 0, and g' < 0 at both ends of [-4, -2]: stop
+    ])
+    s = np.array([1.0, -1.0, 1.0])
+    refs = [_refine_maximum_reference(c, p, t, 1.0, sign) for t, sign in zip(t0, s)]
+    assert refs[0] == -6.0
+    assert abs(refs[1] - 6.0) < 1e-9
+    assert refs[2] == -3.0
+    together = _refine_maxima(c, p, t0, 1.0, s)
+    assert together.shape == (3,)
+    for i, ref in enumerate(refs):
+        alone = _refine_maxima(c, p, t0[i:i + 1], 1.0, s[i:i + 1])
+        assert alone[0] == together[i]
+        assert abs(together[i] - ref) <= _refinement_bound(c, p, ref)
+
+
+def test_certificate_names_the_first_non_stationary_point(monkeypatch):
+    import rkbs_sparse.measure as measure_mod
+    # g = K(-2, .) + K(2, .) is stationary at 0 and not at +-1
+    p = rk.gauss_problem([-2.0, 2.0], 1.0, [1.0, 1.0])
+    monkeypatch.setattr(measure_mod, "find_attainment_points",
+                        lambda c, problem, grid_step=None: [0.0, 1.0, -1.0])
+    with pytest.raises(rk.ConvergenceError, match="attainment point 1 is not stationary") as err:
+        measure_mod._certificate(p, np.ones(2), 3, 2.5e-8)
+    assert err.value.residual == 2.5e-8
+
+
 def test_merge_collapses_plateau_twins_into_one_point():
     from rkbs_sparse.measure import _merge_points
     # separation twice the bandwidth: |g| is quartically flat around 0, so
@@ -490,6 +587,28 @@ def test_scan_kernel_calls_do_not_grow_with_seeds(monkeypatch):
         counts[n] = len(calls)
     assert counts[31] <= counts[3] + 2
     assert counts[31] <= 18
+
+
+def test_scan_refinement_kernel_calls_do_not_grow_with_seeds(monkeypatch):
+    # the Newton refinement of a scan shares its derivative kernel calls
+    # among all seeds, on the instances of the test above
+    import rkbs_sparse.measure as measure_mod
+    calls = []
+    for name in ("_kernel_dt", "_kernel_dtt"):
+        def counting(*args, kernel=getattr(measure_mod, name)):
+            calls.append(1)
+            return kernel(*args)
+        monkeypatch.setattr(measure_mod, name, counting)
+    counts = {}
+    for n in (3, 31):
+        centers = np.linspace(-3.0 * (n - 1), 3.0 * (n - 1), n)
+        p = rk.gauss_problem(centers, 1.0, np.ones(n))
+        c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        calls.clear()
+        _, refined = measure_mod._scan_maxima(c, p, p.grid_step(), keep_above=0.5)
+        assert len(refined) == n
+        counts[n] = len(calls)
+    assert 0 < counts[31] <= counts[3]
 
 
 def test_attainment_scan_evaluates_its_grid_once(monkeypatch):
