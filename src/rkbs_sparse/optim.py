@@ -9,7 +9,8 @@ the atoms of the three pipelines); and the two-phase ``revised_simplex``
 for min cost.u s.t. A u <= b or = b, u >= 0 over a dense block of a few
 columns, which serves the two l1(N) dual LPs in ``sequence``.  Last, an
 exact LASSO solver for the square-loss l1-regularized subproblem, which
-walks the piecewise-linear solution path down in lambda (``lasso_solve``).
+walks the piecewise-linear solution path down in lambda once for a whole
+grid of lambdas (``lasso_path``; ``lasso_solve`` is its one-lambda call).
 Desk scale: a few hundred rows at most.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -408,31 +409,35 @@ def lasso_residual(L: np.ndarray, alpha: np.ndarray, y: np.ndarray,
     return float(np.max(viol, initial=0.0))
 
 
-def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
-                tol: float = 1e-9) -> np.ndarray:
-    """Minimize 0.5||L alpha - y||_2^2 + lam ||alpha||_1 exactly, by homotopy in lambda.
+def lasso_path(L: np.ndarray, y: np.ndarray, lams: Sequence[float],
+               tol: float = 1e-9) -> List[Union[np.ndarray, ConvergenceError]]:
+    """Minimize 0.5||L alpha - y||_2^2 + lam ||alpha||_1 exactly for every lam in lams.
 
     The solution path is piecewise linear in lambda (Osborne, Presnell &
-    Turlach 2000).  The walk starts at lambda_max = ||L^T y||_inf with
-    alpha = 0 and carries the equicorrelation set E, columns with
-    |L_j^T (y - L alpha)| = lambda that carry the path, and their signs s.
-    On each segment alpha_E(lambda) = L_E^+ y - lambda (L_E^T L_E)^+ s
-    (Tibshirani 2013, "The lasso problem and uniqueness", section 3.1),
-    re-derived from one SVD of L_E at every breakpoint.  The next
-    breakpoint is the largest lambda below the current one at which a
-    column outside E reaches |correlation| = lambda or a coefficient in E
-    crosses zero.  Every event within _TIE_RTOL lambda_max of it happens
-    there too, and so do the columns whose correlation rides on +-lambda;
-    ``_carrying_columns`` picks which of these tied columns carry the next
-    segment, which keeps the columns of E linearly independent even where
-    columns of L tie or repeat.  The walk ends at the first breakpoint at
-    or below lam, and alpha is read off that segment.
+    Turlach 2000), so one walk down it serves every lambda.  The walk
+    starts at lambda_max = ||L^T y||_inf with alpha = 0 and carries the
+    equicorrelation set E, columns with |L_j^T (y - L alpha)| = lambda that
+    carry the path, and their signs s.  On each segment
+    alpha_E(lambda) = L_E^+ y - lambda (L_E^T L_E)^+ s (Tibshirani 2013,
+    "The lasso problem and uniqueness", section 3.1), re-derived from one
+    SVD of L_E at every breakpoint.  The next breakpoint is the largest
+    lambda below the current one at which a column outside E reaches
+    |correlation| = lambda or a coefficient in E crosses zero.  Every event
+    within _TIE_RTOL lambda_max of it happens there too, and so do the
+    columns whose correlation rides on +-lambda; ``_carrying_columns``
+    picks which of these tied columns carry the next segment, which keeps
+    the columns of E linearly independent even where columns of L tie or
+    repeat.  The walk ends at the first breakpoint at or below min(lams),
+    and each lambda's alpha is read off the segment that contains it, the
+    first one whose lower breakpoint is at or below it.
 
-    Raises ConvergenceError carrying ``lasso_residual`` of the returned
-    alpha once _BREAKPOINTS_PER_COLUMN (rows + columns) breakpoints are
-    spent, or when that residual exceeds ``tol``.
+    Returns one outcome per lambda, in input order: alpha, or the
+    ConvergenceError of that lambda, which carries ``lasso_residual`` of
+    its alpha once _BREAKPOINTS_PER_COLUMN (rows + columns) breakpoints are
+    spent above it, or when that residual exceeds ``tol``.
     """
-    if not lam > 0:
+    lams = [float(lam) for lam in lams]
+    if not all(lam > 0 for lam in lams):
         raise DomainError("lam must be strictly positive")
     L = np.atleast_2d(np.asarray(L, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -441,17 +446,21 @@ def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
     m, n = L.shape
     corr = L.T @ y
     lam_k = float(np.max(np.abs(corr), initial=0.0))
-    alpha = np.zeros(n)
-    if lam >= lam_k:
-        return alpha
+    out: List[Union[np.ndarray, ConvergenceError]] = [np.zeros(n) for _ in lams]
+    todo = sorted((i for i, lam in enumerate(lams) if lam < lam_k), key=lams.__getitem__)
     window = _TIE_RTOL * lam_k
     E = np.flatnonzero(np.abs(corr) >= lam_k - window)
     s = np.sign(corr[E])
     free = np.zeros(E.size, dtype=bool)
     max_breakpoints = _BREAKPOINTS_PER_COLUMN * (m + n)
     breakpoints = 0
-    while True:
-        keep, (U, sv, Vt) = _carrying_columns(L[:, E], s, free)
+    while todo:
+        try:
+            keep, (U, sv, Vt) = _carrying_columns(L[:, E], s, free)
+        except ConvergenceError as exc:
+            for i in todo:
+                out[i] = exc
+            break
         E, s = E[keep], s[keep]
         c, d = Vt.T @ ((U.T @ y) / sv), Vt.T @ ((Vt @ s) / (sv * sv))
         # correlations on the segment are a + lambda b; alpha_E is c - lambda d
@@ -466,14 +475,23 @@ def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
         join[E] = -np.inf
         crossing = np.where(crossing < below, crossing, -np.inf)
         lam_next = max(float(np.max(join)), float(np.max(crossing, initial=-np.inf)))
-        if lam_next <= lam:
+        while todo and lams[todo[-1]] >= lam_next:  # this segment contains lams[i]
+            i = todo.pop()
+            alpha_E = c - lams[i] * d
+            # a coefficient crossing zero within rounding of lam may show the wrong sign
+            out[i][E] = np.where(s * alpha_E > 0.0, alpha_E, 0.0)
+            residual = lasso_residual(L, out[i], y, lams[i])
+            if residual > tol:
+                out[i] = ConvergenceError(f"LASSO homotopy solution misses the optimality "
+                                          f"conditions by {residual:.3e}", residual=residual)
+        if todo and breakpoints == max_breakpoints:
+            for i in todo:
+                out[i][E] = c - lams[i] * d
+                residual = lasso_residual(L, out[i], y, lams[i])
+                out[i] = ConvergenceError(
+                    f"LASSO homotopy exceeded {max_breakpoints} breakpoints above lambda = "
+                    f"{lams[i]:g} (residual {residual:.3e})", residual=residual)
             break
-        if breakpoints == max_breakpoints:
-            alpha[E] = c - lam * d
-            residual = lasso_residual(L, alpha, y, lam)
-            raise ConvergenceError(
-                f"LASSO homotopy exceeded {max_breakpoints} breakpoints above lambda = "
-                f"{lam:g} (residual {residual:.3e})", residual=residual)
         breakpoints += 1
         # the tied columns: those that reach lambda here and those riding on it
         rho = a + lam_next * b
@@ -484,13 +502,18 @@ def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
         E = np.concatenate((E, joins))
         s = np.concatenate((s, np.sign(rho[joins])))
         lam_k = lam_next
-    alpha_E = c - lam * d
-    # a coefficient crossing zero within rounding of lam may show the wrong sign
-    alpha[E] = np.where(s * alpha_E > 0.0, alpha_E, 0.0)
-    residual = lasso_residual(L, alpha, y, lam)
-    if residual > tol:
-        raise ConvergenceError(f"LASSO homotopy solution misses the optimality conditions "
-                               f"by {residual:.3e}", residual=residual)
+    return out
+
+
+def lasso_solve(L: np.ndarray, y: np.ndarray, lam: float,
+                tol: float = 1e-9) -> np.ndarray:
+    """Minimize 0.5||L alpha - y||_2^2 + lam ||alpha||_1 exactly: ``lasso_path`` at lam.
+
+    Raises the ConvergenceError that ``lasso_path`` returns for lam.
+    """
+    alpha, = lasso_path(L, y, [lam], tol)
+    if isinstance(alpha, ConvergenceError):
+        raise alpha
     return alpha
 
 

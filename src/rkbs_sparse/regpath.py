@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (ConvergenceError, DomainError, GaussProblem, KernelMatrix,
                    RkbsError, SeqProblem, SparseSolution, make_solution)
-from .optim import lasso_solve, vertex_atoms
+from .optim import lasso_path, lasso_solve, vertex_atoms
 from . import measure as _measure
 from . import sequence as _sequence
 
@@ -140,19 +140,26 @@ def _reg_solution(atoms, misfit: np.ndarray, lam: float, rank: int, n: int,
     return dataclasses.replace(sol, dual_value=0.5 * float(misfit @ misfit) + lam * sol.norm)
 
 
-def _reg_solve_seq(problem: SeqProblem, lam: float) -> SparseSolution:
-    """The l1(N) LASSO: one exact homotopy solve per truncation level.
+def _reg_solve_seq(problem: SeqProblem, lam: float, lams: Sequence[float],
+                   walks: dict) -> SparseSolution:
+    """The l1(N) LASSO at lam, one of the path ``lams``: one homotopy walk per truncation level.
 
-    At each level K, ``lasso_solve`` walks the path on the first K
-    coordinates down to lam; the level is certified once the tail bound of
-    the misfit a = V alpha - y proves the off-range inequalities, and the
-    vertex step then picks an extreme point of that level's solution set.
+    At each level K, ``lasso_path`` walks the path on the first K
+    coordinates once for every lambda of lams, on first use of K, and
+    ``walks`` keeps its outcomes by K for the other lambdas; the level is
+    certified once the tail bound of the misfit a = V alpha - y proves the
+    off-range inequalities, and the vertex step then picks an extreme point
+    of that level's solution set.
     """
     opts = problem.options
     y = problem.y_vector()
 
     def level(K, V):
-        alpha = lasso_solve(V, y, lam, tol=opts.tol)
+        if K not in walks:
+            walks[K] = dict(zip(lams, lasso_path(V, y, lams, tol=opts.tol)))
+        alpha = walks[K][lam]
+        if isinstance(alpha, ConvergenceError):
+            raise alpha
         # |<a, column k>| <= sum_i |a_i| tail_i(K) for every k > K, so once
         # that bound sits below lambda the off-range inequalities hold
         return V @ alpha - y, lam * (1.0 - 1e-6), (V, alpha)
@@ -290,7 +297,7 @@ def reg_solve(problem: RegProblem) -> SparseSolution:
     round with the least objective.  Outputs pass ``lambda_certificate``.
     """
     if isinstance(problem.base, SeqProblem):
-        return _reg_solve_seq(problem.base, problem.lam)
+        return _reg_solve_seq(problem.base, problem.lam, [problem.lam], {})
     return _reg_solve_gauss(problem.base, problem.lam)
 
 
@@ -395,9 +402,12 @@ class PathRow:
 
 def sparsity_path(base: Union[SeqProblem, GaussProblem],
                   lambdas: Sequence[float]) -> List[PathRow]:
-    """One regularized solve per lambda; rows in input order.
+    """One regularized solution per lambda; rows in input order.
 
-    Lambdas must be positive and ascending.  Per-row solver failures
+    Lambdas must be positive and ascending.  The rows of a sequence
+    problem share one homotopy walk per truncation level, and each equals
+    the lone ``reg_solve`` at its lambda; Gaussian rows run ``reg_solve``
+    one by one.  Per-row solver failures
     (``RkbsError``) are recorded in the row's ``error`` field instead of
     aborting the path; any other exception propagates.
     """
@@ -407,9 +417,13 @@ def sparsity_path(base: Union[SeqProblem, GaussProblem],
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise DomainError("lambdas must be sorted ascending")
     rows: List[PathRow] = []
+    walks: dict = {}
     for lam in lams:
         try:
-            sol = reg_solve(RegProblem(base=base, lam=lam))
+            if isinstance(base, SeqProblem):
+                sol = _reg_solve_seq(base, lam, lams, walks)
+            else:
+                sol = reg_solve(RegProblem(base=base, lam=lam))
             rows.append(PathRow(lam=lam, atom_count=len(sol.atoms),
                                 l1_norm=sol.norm, objective=sol.dual_value))
         except RkbsError as exc:  # recorded, not fatal

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -451,3 +452,19 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert text == ""
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == 3
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["path", "path-l1.json"], "path-l1.path.json"),
+    (["path", "path-l1.json", "--format", "csv"], "path-l1.path.csv"),
+    (["solve", "reg-l1.json"], "reg-l1.solve.json"),
+])
+def test_reports_match_golden_files_byte_for_byte(tmp_path, args, golden):
+    command, problem, *rest = args
+    out = tmp_path / "report"
+    assert cli.main([command, str(ROOT / "bench" / "problems" / problem), *rest,
+                     "--output", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()

@@ -8,8 +8,8 @@ import rkbs_sparse as rk
 from rkbs_sparse.core import ConvergenceError, DomainError, matrix_rank
 import rkbs_sparse.optim as optim_mod
 from rkbs_sparse.optim import (INFEASIBLE, OPTIMAL, UNBOUNDED, _exact_residual,
-                               basis_pursuit, l1_column_simplex, lasso_residual,
-                               lasso_solve, revised_simplex)
+                               basis_pursuit, l1_column_simplex, lasso_path,
+                               lasso_residual, lasso_solve, revised_simplex)
 from conftest import random_seq_instances
 
 
@@ -573,7 +573,7 @@ def test_lasso_matches_enumeration_with_duplicate_and_proportional_columns():
             _assert_matches_enumeration(L, y, frac * float(np.max(np.abs(L.T @ y))))
 
 
-@pytest.mark.parametrize("L, y", [
+_DEGENERATE_TIES = [
     # two columns tie at lambda_max; one must leave the moment the walk starts
     ([[0, -1], [1, -2], [1, -1]], [2, -2, -1]),
     # five columns of a rank-4 L stay equicorrelated over a stretch of lambda
@@ -584,7 +584,10 @@ def test_lasso_matches_enumeration_with_duplicate_and_proportional_columns():
       [1, 1, 2, 1, -2, 1, 0]], [3, 0, -2, 2]),
     # three columns tie at one breakpoint of a rank-3 L
     ([[-2, 1, -2, 1, 2, 2, 2], [2, 2, 2, 2, -1, 2, 1], [-1, 2, 1, 2, 1, 2, 0]], [3, 1, 2]),
-])
+]
+
+
+@pytest.mark.parametrize("L, y", _DEGENERATE_TIES)
 def test_lasso_matches_enumeration_through_degenerate_ties(L, y):
     L, y = np.array(L, dtype=float), np.array(y, dtype=float)
     for frac in (0.001, 0.1, 0.5, 0.9):
@@ -645,3 +648,74 @@ def test_lasso_tiny_lambda_reaches_the_basis_pursuit_norm():
         bp = basis_pursuit(L, y, 1e-12)
         assert float(np.sum(np.abs(alpha))) == pytest.approx(float(np.sum(np.abs(bp))), abs=1e-8)
         assert float(np.max(np.abs(L @ alpha - y))) <= 1e-8
+
+
+def _lasso_enumeration_instances():
+    """(L, y) of the test_lasso_matches_enumeration_* tests, drawn from the same seeds."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        L, y = rng.normal(size=(m, n)), rng.normal(size=m)
+        rng.uniform(0.02, 1.0)  # that test's lambda draw
+        yield L, y
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        base = rng.normal(size=(3, 3))
+        copies = (base[:, 0], -base[:, 1], 2.0 * base[:, 2], 0.5 * base[:, 0])
+        yield np.column_stack((base,) + copies), rng.normal(size=3)
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+        L = rng.integers(-2, 3, size=(m, n)).astype(float)
+        y = rng.integers(-3, 4, size=m).astype(float)
+        if np.any(L.T @ y):
+            yield L, y
+    for L, y in _DEGENERATE_TIES:
+        yield np.array(L, dtype=float), np.array(y, dtype=float)
+
+
+def _lone_outcome(L, y, lam, tol):
+    try:
+        return lasso_solve(L, y, lam, tol=tol)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, ConvergenceError):
+        assert isinstance(got, ConvergenceError)
+        assert (str(got), got.residual) == (str(want), want.residual)
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def test_lasso_path_matches_lone_solves_on_the_enumeration_instances():
+    order = np.random.default_rng(43).permutation(12)
+    fracs = np.concatenate(([1.5, 1.0], np.geomspace(0.9, 1e-6, 10)))[order]
+    count = 0
+    for L, y in _lasso_enumeration_instances():
+        lams = fracs * float(np.max(np.abs(L.T @ y)))
+        outcomes = lasso_path(L, y, lams, tol=1e-10)
+        assert len(outcomes) == lams.size
+        for lam, got in zip(lams, outcomes):
+            _assert_same_outcome(got, _lone_outcome(L, y, lam, 1e-10))
+        count += 1
+    assert count == 40 + 20 + 39 + 4  # one integer instance has lambda_max = 0
+
+
+def test_lasso_path_breakpoint_cap_fails_each_lambda_as_a_lone_call(monkeypatch):
+    monkeypatch.setattr(optim_mod, "_BREAKPOINTS_PER_COLUMN", 0)
+    L = np.array([[1.0, 0.5], [0.0, 1.0]])
+    y = np.array([1.0, 1.0])  # lambda_max = 1.5; column 0 joins at lambda = 2/3
+    lams = [1e-8, 2.0, 0.5, 1.0, 0.7, 0.6]
+    outcomes = lasso_path(L, y, lams, tol=1e-10)
+    assert [isinstance(o, ConvergenceError) for o in outcomes] == [True, False, True, False,
+                                                                     False, True]
+    for lam, got in zip(lams, outcomes):
+        _assert_same_outcome(got, _lone_outcome(L, y, lam, 1e-10))
+
+
+def test_lasso_path_rejects_nonpositive_lambda():
+    for lams in ([0.5, 0.0], [-1.0], [math.nan]):
+        with pytest.raises(DomainError):
+            lasso_path(np.eye(2), np.array([1.0, 1.0]), lams)

@@ -242,21 +242,92 @@ def test_path_norm_monotone_in_lambda(worked_example):
     assert rows[-1].atom_count == 0  # beyond lambda_max = 2
 
 
-def test_path_records_solver_errors_and_raises_others(unit_pair_problem, monkeypatch):
+def _assert_records_solver_errors_and_raises_others(base, monkeypatch, solver):
     def fail(exc):
-        def solve(problem):
+        def solve(*args, **kwargs):
             raise exc
         return solve
 
-    monkeypatch.setattr(regpath, "reg_solve", fail(ConvergenceError("no fit")))
-    row, = sparsity_path(unit_pair_problem, [0.5])
+    monkeypatch.setattr(regpath, solver, fail(ConvergenceError("no fit")))
+    row, = sparsity_path(base, [0.5])
     assert (row.error, row.atom_count) == ("no fit", -1)
     assert math.isnan(row.l1_norm) and math.isnan(row.objective)
-    monkeypatch.setattr(regpath, "reg_solve", fail(TypeError("bug")))
+    monkeypatch.setattr(regpath, solver, fail(TypeError("bug")))
     with pytest.raises(TypeError):
-        sparsity_path(unit_pair_problem, [0.5])
+        sparsity_path(base, [0.5])
+
+
+def test_path_records_solver_errors_and_raises_others(unit_pair_problem, monkeypatch):
+    # an l1 path runs lasso_path once per truncation level, not reg_solve per row
+    _assert_records_solver_errors_and_raises_others(unit_pair_problem, monkeypatch, "lasso_path")
+
+
+def test_gaussian_path_records_solver_errors_and_raises_others(monkeypatch):
+    base = rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0])
+    _assert_records_solver_errors_and_raises_others(base, monkeypatch, "reg_solve")
 
 
 def test_path_rejects_unsorted(unit_pair_problem):
     with pytest.raises(DomainError):
         sparsity_path(unit_pair_problem, [0.9, 0.5])
+
+
+def _lone_rows(base, lams):
+    """The rows of sparsity_path built from one reg_solve per lambda."""
+    rows = []
+    for lam in lams:
+        try:
+            sol = reg_solve(RegProblem(base=base, lam=lam))
+            rows.append(regpath.PathRow(lam=lam, atom_count=len(sol.atoms),
+                                        l1_norm=sol.norm, objective=sol.dual_value))
+        except rk.RkbsError as exc:
+            rows.append(regpath.PathRow(lam=lam, atom_count=-1, l1_norm=math.nan,
+                                        objective=math.nan, error=str(exc)))
+    return rows
+
+
+def _level_512_problem():
+    # the harmonic sequence against its own first 256 terms: at lambda = 1e-3
+    # the misfit is about (-0.5, 0.5), so the harmonic row's tail bound at
+    # K = 256 is about 0.5/257 > lambda
+    return rk.seq_problem([rk.harmonic(), rk.finite([1.0 / k for k in range(1, 257)])],
+                          [1.0, 0.0])
+
+
+def _path_l1_case():
+    # bench/problems/path-l1.json
+    return (rk.seq_problem([rk.harmonic(), rk.geometric(-0.5), rk.finite([0.8, -1.2, 0.4])],
+                           [1.0, 0.6, -0.7]), [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2])
+
+
+def test_path_rows_equal_lone_reg_solves():
+    # repr prints every float exactly, and nan equal to nan
+    cases = [(_level_512_problem(), [1e-3, 0.5]), _path_l1_case()]
+    for problem in random_seq_instances(30, seed=2718):
+        lmax = lambda_max(problem.coordinate_matrix(problem.options.truncation_start),
+                          problem.y_vector())
+        cases.append((problem, [f * lmax for f in (0.01, 0.05, 0.2, 0.5, 0.9, 1.2)]))
+    for base, lams in cases:
+        assert repr(sparsity_path(base, lams)) == repr(_lone_rows(base, lams))
+
+
+def test_path_runs_one_walk_per_truncation_level(monkeypatch):
+    levels = []
+    walk = regpath.lasso_path
+
+    def counting(V, y, lams, tol):
+        levels.append(V.shape[1])
+        return walk(V, y, lams, tol=tol)
+
+    monkeypatch.setattr(regpath, "lasso_path", counting)
+    reg_solve(RegProblem(base=_level_512_problem(), lam=0.5))
+    assert levels == [256]
+    levels.clear()
+    reg_solve(RegProblem(base=_level_512_problem(), lam=1e-3))
+    assert levels == [256, 512]
+    levels.clear()
+    sparsity_path(_level_512_problem(), [1e-3, 0.5])
+    assert levels == [256, 512]
+    levels.clear()
+    sparsity_path(*_path_l1_case())
+    assert levels == [256]
