@@ -284,6 +284,11 @@ def _dual_json_seq(cert: _sequence.DualCertificate) -> Dict[str, Any]:
             "truncation": cert.truncation_used, "margin": cert.margin}
 
 
+def _dual_json_lp(sol: _sequence.LpSolution) -> Dict[str, Any]:
+    return {"c": list(sol.dual_coefficients), "value": sol.value,
+            "truncation": sol.truncation_used, "tail_bound": sol.tail_bound}
+
+
 def _dual_json_measure(cert: _measure.ContinuousDualCertificate) -> Dict[str, Any]:
     return {"c": list(cert.coefficients), "value": cert.value,
             "attainment": list(cert.attain_points),
@@ -310,9 +315,7 @@ def _solve_report(parsed: ParsedProblem) -> Dict[str, Any]:
             sol = _sequence.mni_solve_lp(base, parsed.p)
             lead = list(sol.coordinates(32))
             return {**head, "p": parsed.p, "optimal_value": sol.norm_p,
-                    "dual": {"c": list(sol.dual_coefficients), "value": sol.value,
-                             "truncation": sol.truncation_used,
-                             "tail_bound": sol.tail_bound},
+                    "dual": _dual_json_lp(sol),
                     "leading_coordinates": lead,
                     "diagnostics": {"residual": sol.interp_residual},
                     "provenance": _provenance(base.options)}
@@ -348,9 +351,7 @@ def _dual_report(parsed: ParsedProblem) -> Dict[str, Any]:
     if parsed.space == "lp":
         sol = _sequence.mni_solve_lp(base, parsed.p)
         return {**head, "p": parsed.p, "optimal_value": sol.value,
-                "dual": {"c": list(sol.dual_coefficients), "value": sol.value,
-                         "truncation": sol.truncation_used,
-                         "tail_bound": sol.tail_bound},
+                "dual": _dual_json_lp(sol),
                 "provenance": _provenance(base.options)}
     cert = _measure.dual_solve_semiinfinite(base)
     return {**head, "optimal_value": cert.value,

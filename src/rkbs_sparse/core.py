@@ -131,10 +131,12 @@ class SequenceFunctional:
 
         harmonic uses the integral test, geometric the closed-form
         geometric sum, finite is exact; scaled sums combine children by
-        the triangle inequality in lq.
+        the triangle inequality in lq; q = inf gives ``tail_bound(after)``.
         """
-        if q <= 1.0:
+        if not q > 1.0:
             raise DomainError("lq tail bounds require q > 1")
+        if q == math.inf:
+            return self.tail_bound(after)
         if self.kind == "harmonic":
             return (after ** (1.0 - q) / (q - 1.0)) ** (1.0 / q)
         if self.kind == "geometric":
@@ -269,6 +271,8 @@ class GaussProblem:
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma, *self.centers, *self.y, *self.domain))):
+            raise DomainError("sigma, centers, y and domain must be finite")
         if not self.sigma > 0:
             raise DomainError("sigma must be strictly positive")
         if len(self.centers) < 1:

@@ -412,7 +412,7 @@ def sparsity_path(base: Union[SeqProblem, GaussProblem],
     aborting the path; any other exception propagates.
     """
     lams = [float(v) for v in lambdas]
-    if any(l <= 0 for l in lams):
+    if any(not l > 0 for l in lams):
         raise DomainError("lambdas must be strictly positive")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise DomainError("lambdas must be sorted ascending")

@@ -15,7 +15,8 @@ c+ - c- >= 0 and hand their 2n dense columns to ``optim.revised_simplex``;
 one constraint-generation loop grows the working coordinates of both.
 
 An lp-norm solver (1 < p < inf) is included as a contrast: its solution
-is given by a smooth closed form and is generically not sparse.
+is given by a smooth closed form and is generically not sparse.  Damped
+Newton solves its dual, under the same ``_certified_truncation`` on lq tails.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .core import (ConvergenceError, DomainError, KernelMatrix, SeqProblem,
 from .optim import OPTIMAL, UNBOUNDED, revised_simplex, vertex_atoms
 
 MAX_TRUNCATION = 2 ** 20
-_LP_GRAD_TOL = 1e-12  # lp dual: relative projected-gradient stopping norm
-_LP_MAX_ITERS = 100_000  # lp dual: gradient steps per truncation level
+_LP_NEWTON_ROUNDS = 100  # lp dual: Newton rounds per truncation level
 _MAX_DEPENDENCY_WINDOW = 2 ** 15  # support_dependency_check: widest window
 
 
@@ -60,20 +60,21 @@ class DualCertificate:
         return np.asarray(self.coefficients, dtype=float)
 
 
-def _certified_truncation(problem: SeqProblem, start: int, level):
+def _certified_truncation(problem: SeqProblem, start: int, level, q: float = math.inf):
     """Double the truncation level K from ``start`` until a tail certificate holds.
 
     ``level(K, V)``, with V the n x K coordinate matrix, returns
-    (weights w, gate, result) for that level.  Every coordinate beyond K
-    of sum_j w_j v_j is bounded by the tail sum_j |w_j| tail_j(K), and the
-    certificate holds once that tail is at most the gate.  Returns
+    (weights w, gate, result) for that level.  The lq norm of the
+    coordinates beyond K of sum_j w_j v_j is bounded by the tail
+    sum_j |w_j| ``lq_tail(K, q)``; the default q = inf bounds their sup.
+    The certificate holds once that tail is at most the gate.  Returns
     (K, result, tail); raises TruncationError carrying the tail when K
     reaches MAX_TRUNCATION without it.
     """
     K = start
     while True:
         weights, gate, result = level(K, problem.coordinate_matrix(K))
-        tail = float(sum(abs(w) * f.tail_bound(K)
+        tail = float(sum(abs(w) * f.lq_tail(K, q)
                          for w, f in zip(weights, problem.functionals)))
         if tail <= gate:
             return K, result, tail
@@ -347,6 +348,14 @@ def linf_subdiff_extreme_points(v: SequenceFunctional, upto: int,
 # lp-norm contrast solver (1 < p < inf)
 # ---------------------------------------------------------------------------
 
+def _closed_form(w: np.ndarray, q: float, value: float) -> np.ndarray:
+    """x_k = w_k |w_k|^(q-2) / value^(q-2), and 0 where w_k = 0."""
+    out = np.zeros(w.size)
+    nz = w != 0.0
+    out[nz] = w[nz] * np.abs(w[nz]) ** (q - 2.0) / value ** (q - 2.0)
+    return out
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Closed-form lp interpolation solution driven by its dual coefficients.
@@ -366,115 +375,105 @@ class LpSolution:
     interp_residual: float
 
     def eval(self, k: int) -> float:
-        w = self.combined.eval(k)
-        if w == 0.0:
-            return 0.0
-        return w * abs(w) ** (self.q - 2.0) / self.value ** (self.q - 2.0)
+        return float(_closed_form(np.array([self.combined.eval(k)]), self.q, self.value)[0])
 
     def coordinates(self, upto: int) -> np.ndarray:
-        w = self.combined.coordinates(upto)
-        out = np.zeros(upto)
-        nz = w != 0.0
-        out[nz] = w[nz] * np.abs(w[nz]) ** (self.q - 2.0) / self.value ** (self.q - 2.0)
-        return out
+        return _closed_form(self.combined.coordinates(upto), self.q, self.value)
 
     @property
     def norm_p(self) -> float:
         return self.value
 
 
-def _dual_norm_value(problem: SeqProblem, c: np.ndarray, K: int, q: float) -> float:
-    u = problem.coordinate_matrix(K).T @ c
-    return float(np.sum(np.abs(u) ** q) ** (1.0 / q))
+def _lp_newton(V: np.ndarray, c: np.ndarray, basis: np.ndarray, q: float) -> np.ndarray:
+    """Minimize phi = sum_k |u_k|^q / q, u = V^T c, over c + span(basis).
+
+    Damped Newton with Armijo backtracking (Boyd & Vandenberghe 2004,
+    sec. 9.5), on u / max|u| so that |u|^q cannot overflow.  Hessian
+    weights |u_k|^(q-2) are 0 where u_k = 0, and curvature at rounding
+    level (dependent functionals) takes no step.  Stops at a decrement of
+    16 eps phi, after one more full step unless it raises phi by more than
+    that (phi alone cannot resolve the last digits of c); raises
+    ConvergenceError with the decrement after _LP_NEWTON_ROUNDS rounds or
+    a failed line search.  ``measure._newton_polish`` merges atoms and
+    rereads signs every round, and lp has no atoms, so it is not reused.
+    """
+    eps = np.finfo(float).eps
+    Vb = basis.T @ V
+    floor = eps * len(c) * (q - 1.0) * np.einsum("ik,ik->k", V, V)
+    for rounds in range(_LP_NEWTON_ROUNDS + 1):
+        u = V.T @ c
+        scale = float(np.max(np.abs(u)))
+        if not scale > 0.0:
+            raise DomainError("functionals vanish on the dual slice; y is not interpolable")
+        w = u / scale
+        a = np.abs(w)
+        weight = np.where(a > 0.0, a, 1.0) ** (q - 2.0) * (a > 0.0)
+        grad = Vb @ (np.sign(w) * a ** (q - 1.0))
+        lam, Q = np.linalg.eigh((q - 1.0) * (Vb * weight) @ Vb.T)
+        keep = lam > float(weight @ floor)
+        z = Q[:, keep] @ ((Q[:, keep].T @ -grad) / lam[keep])
+        decrement, value = -float(grad @ z), float(np.sum(a ** q)) / q
+        rounding = 16.0 * eps * value
+
+        def phi(t, dw=Vb.T @ z):
+            return float(np.sum(np.abs(w + t * dw) ** q)) / q
+
+        if decrement <= rounding:
+            return c + scale * (basis @ z) if phi(1.0) <= value + rounding else c
+        t = 1.0
+        while rounds < _LP_NEWTON_ROUNDS and t >= eps and phi(t) > value - 0.25 * t * decrement:
+            t *= 0.5
+        if rounds == _LP_NEWTON_ROUNDS or t < eps:
+            raise ConvergenceError(f"lp dual Newton stopped after {rounds} rounds at "
+                                   f"decrement {decrement:.3e}", residual=decrement)
+        c = c + t * scale * (basis @ z)
 
 
 def mni_solve_lp(problem: SeqProblem, p: float,
                  truncation: Optional[int] = None) -> LpSolution:
     """Minimum lp-norm interpolation via the smooth reciprocal dual.
 
-    Minimizes ||sum_j c_j v_j||_q over the affine slice c.y = 1 by
-    projected gradient with backtracking, then rescales to the unit-norm
-    dual form and returns the closed-form solution evaluator.
+    Minimizes ||sum_j c_j v_j||_q over the slice c.y = 1 by ``_lp_newton``
+    on an orthonormal basis of y's complement, and returns the closed-form
+    solution of the rescaled dual.  Its V x = y holds exactly when c is
+    stationary on the slice, so the 1e-6 interpolation check certifies it.
 
-    The series is truncated: with ``truncation`` unset, the level doubles
-    until the certified lq tail is below 2% of the dual norm (slowly
-    decaying tails such as the harmonic one make much tighter gates
-    unreachable).  The certified ``tail_bound`` is reported on the
-    solution so callers can judge the truncation bias; comparisons
-    against the normal-equations oracle should run both at the same
-    level.
+    K doubles through ``_certified_truncation`` on the lq tail, each level
+    warm-started from the last: from ``options.truncation_start`` until
+    the tail is below 2% of the dual norm or K reaches 2**17 (slow tails
+    such as the harmonic one make tighter gates unreachable), or fixed at
+    a whole-number ``truncation``.  Compare with the normal-equations
+    oracle at the same K; the reported ``tail_bound`` bounds the bias.
     """
     if not 1.0 < p < math.inf:
         raise DomainError("p must lie in (1, inf)")
+    whole = isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool)
+    if truncation is not None and not (whole and 1 <= truncation <= MAX_TRUNCATION):
+        raise DomainError(f"truncation must be a whole number in 1..{MAX_TRUNCATION}")
     y = problem.y_vector()
     if float(np.max(np.abs(y))) == 0.0:
         raise DomainError("y must be nonzero")
     q = p / (p - 1.0)
-    K = truncation if truncation is not None else problem.options.truncation_start
+    basis = np.linalg.qr(y[:, None], mode="complete")[0][:, 1:]
     c = y / float(y @ y)
-    yy = float(y @ y)
 
-    # rounding in |u|^(q-1) floors the reachable gradient norm for
-    # ill-conditioned q; stalls are accepted and the interpolation
-    # post-condition is enforced on the result instead
-    stall_tol = 1e-6
+    def level(K, V):
+        nonlocal c
+        c = _lp_newton(V, c, basis, q)
+        u = np.abs(V.T @ c)
+        J = float(u.max() * np.linalg.norm(u / u.max(), q))
+        return c, math.inf if truncation or K >= 2 ** 17 else 0.02 * J, (J, V)
 
-    while True:
-        V = problem.coordinate_matrix(K)
-        converged = False
-        grad_norm = math.inf
-        J = math.inf
-        for _ in range(_LP_MAX_ITERS):
-            u = V.T @ c
-            J = float(np.sum(np.abs(u) ** q) ** (1.0 / q))
-            gu = np.sign(u) * np.abs(u) ** (q - 1.0) / J ** (q - 1.0)
-            grad = V @ gu
-            grad -= y * (float(y @ grad) / yy)  # project onto {c.y = 1}
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= _LP_GRAD_TOL * max(1.0, J):
-                converged = True
-                break
-            step = 1.0
-            improved = False
-            J_try = J
-            for _ in range(60):
-                c_try = c - step * grad
-                J_try = _dual_norm_value(problem, c_try, K, q)
-                if J_try <= J - 0.5 * step * grad_norm ** 2:
-                    c = c_try
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved or J - J_try <= 1e-16 * max(1.0, J):
-                converged = grad_norm <= stall_tol * max(1.0, J)
-                break
-        else:
-            converged = grad_norm <= stall_tol * max(1.0, J)
-        if not converged:
-            raise ConvergenceError(
-                f"lp dual solver stalled with projected gradient norm {grad_norm:.3e}",
-                residual=grad_norm)
-        J = _dual_norm_value(problem, c, K, q)
-        tail = float(sum(abs(cj) * f.lq_tail(K, q)
-                         for cj, f in zip(c, problem.functionals)))
-        if truncation is not None or tail <= 0.02 * J or K >= 2 ** 17:
-            break
-        K *= 2
-
-    c_hat = c / J
-    m0 = 1.0 / J
+    K, (J, V), tail = _certified_truncation(
+        problem, truncation or problem.options.truncation_start, level, q)
+    m0, c_hat = 1.0 / J, c / J
     combined = scaled_sum(m0 * c_hat, problem.functionals)
-    sol = LpSolution(p=p, q=q, dual_coefficients=tuple(float(v) for v in c_hat),
-                     value=m0, combined=combined, truncation_used=K,
-                     tail_bound=tail, interp_residual=0.0)
-    xs = sol.coordinates(K)
-    residual = float(np.max(np.abs(problem.coordinate_matrix(K) @ xs - y)))
+    residual = float(np.max(np.abs(V @ _closed_form(combined.coordinates(K), q, m0) - y)))
     if residual > 1e-6 * (1.0 + float(np.max(np.abs(y)))):
-        raise ConvergenceError(
-            f"lp solution violates interpolation beyond 1e-6 "
-            f"(residual {residual:.3e}, gradient {grad_norm:.3e})",
-            residual=residual)
-    return LpSolution(p=p, q=q, dual_coefficients=sol.dual_coefficients,
+        raise ConvergenceError(f"lp solution violates interpolation beyond 1e-6 "
+                               f"(residual {residual:.3e})", residual=residual)
+    return LpSolution(p=p, q=q, dual_coefficients=tuple(float(v) for v in c_hat),
                       value=m0, combined=combined, truncation_used=K,
                       tail_bound=tail, interp_residual=residual)
 

@@ -109,6 +109,27 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "surprise" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("centers", [-1.0, math.nan]),
+    ("y", [1.0, math.nan]),
+    ("domain", [-10.0, math.nan]),
+])
+def test_non_finite_gaussian_data_is_validation_error(tmp_path, capsys, field, value):
+    # json reads the NaN literal that json.dumps writes
+    code, text = _run(tmp_path, ["solve"], dict(GAUSS_DOC, **{field: value}))
+    assert code == 2
+    assert text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"]["code"] == 2
+
+
+def test_path_with_a_nan_lambda_fails_without_a_report(tmp_path, capsys):
+    code, text = _run(tmp_path, ["path"], dict(PATH_DOC, lambdas=[0.5, math.nan]))
+    assert code == cli.EXIT_SOLVER
+    assert text == ""
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "strictly positive" in err["message"]
+
+
 def test_schema_version_checked(tmp_path):
     doc = dict(WORKED_DOC)
     doc["schema"] = "rkbs-sparse/2"
@@ -468,3 +489,11 @@ def test_reports_match_golden_files_byte_for_byte(tmp_path, args, golden):
     assert cli.main([command, str(ROOT / "bench" / "problems" / problem), *rest,
                      "--output", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+
+
+def test_lp_report_matches_its_golden_file_byte_for_byte(tmp_path):
+    # the worked example at p = 2; its coordinates equal the normal equations'
+    out = tmp_path / "report"
+    data = ROOT / "tests" / "data"
+    assert cli.main(["solve", str(data / "lp-contrast.json"), "--output", str(out)]) == 0
+    assert out.read_bytes() == (data / "lp-contrast.solve.json").read_bytes()

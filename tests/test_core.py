@@ -69,6 +69,16 @@ def test_lq_tail_dominates_partial_sums():
                 assert partial ** (1.0 / q) <= bound + 1e-12
 
 
+def test_lq_tail_at_infinity_is_the_sup_tail_bound():
+    # the harmonic closed form (after^(1-q) / (q-1))^(1/q) reads 1.0 at q = inf
+    for f in _sample_functionals():
+        for K in (1, 4, 16, 64):
+            assert f.lq_tail(K, math.inf) == f.tail_bound(K)
+    for q in (1.0, 0.5, math.nan):
+        with pytest.raises(DomainError):
+            rk.harmonic().lq_tail(4, q)
+
+
 def test_scaled_sum_is_linear():
     rng = np.random.default_rng(7)
     f, g = rk.harmonic(), rk.geometric(0.3)
@@ -126,6 +136,19 @@ def test_gauss_problem_defaults_and_validation():
         rk.gauss_problem([-1.0, 1.0], 1.0, [1.0, 1.0], domain=(-2.0, 2.0))
     with pytest.raises(DomainError):
         rk.gauss_problem([0.0], -1.0, [1.0])
+
+
+@pytest.mark.parametrize("centers, sigma, y, domain", [
+    ([0.0, math.nan], 1.0, [1.0, 1.0], (-10.0, 10.0)),
+    ([0.0, math.inf], 1.0, [1.0, 1.0], (-10.0, 10.0)),
+    ([0.0, 1.0], 1.0, [1.0, math.nan], (-10.0, 10.0)),
+    ([0.0, 1.0], 1.0, [1.0, 1.0], (-10.0, math.nan)),
+    ([0.0, 1.0], 1.0, [1.0, 1.0], (-math.inf, 10.0)),
+    ([0.0, 1.0], math.inf, [1.0, 1.0], (-math.inf, math.inf)),
+])
+def test_gauss_problem_rejects_non_finite_data(centers, sigma, y, domain):
+    with pytest.raises(DomainError):
+        rk.gauss_problem(centers, sigma, y, domain=domain)
 
 
 def test_matrix_rank_thresholding():

@@ -272,6 +272,13 @@ def test_path_rejects_unsorted(unit_pair_problem):
         sparsity_path(unit_pair_problem, [0.9, 0.5])
 
 
+@pytest.mark.parametrize("lams", [[0.0], [-1.0, 0.5], [math.nan], [0.5, math.nan]])
+def test_path_rejects_nonpositive_and_nan_lambdas(unit_pair_problem, lams):
+    # NaN fails every comparison, so it must not slip past "l <= 0"
+    with pytest.raises(DomainError):
+        sparsity_path(unit_pair_problem, lams)
+
+
 def _lone_rows(base, lams):
     """The rows of sparsity_path built from one reg_solve per lambda."""
     rows = []

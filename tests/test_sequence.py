@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -319,12 +320,64 @@ def test_lp_solution_is_dense(worked_example):
 
 
 def test_lp_solver_extreme_exponents_meet_interpolation_contract(worked_example):
-    # ill-conditioned q floors the reachable gradient norm; the solver
-    # must still honor the 1e-6 interpolation post-condition
     for p in (1.2, 5.0, 10.0):
         sol = mni_solve_lp(worked_example, p)
         assert sol.interp_residual <= 1e-6
         assert sol.value > 0
+
+
+def _three_functionals():
+    return rk.seq_problem([rk.harmonic(), rk.geometric(0.7), rk.finite([1.0, -2.0, 0.5])],
+                          [0.3, -1.0, 2.0])
+
+
+def test_lp_solver_reaches_the_normal_equations_at_its_own_level(worked_example):
+    sol = mni_solve_lp(worked_example, 2.0)
+    oracle = rk.l2_min_norm(worked_example, sol.truncation_used)
+    assert sol.norm_p == pytest.approx(oracle.value["norm"], rel=1e-13)
+    assert sol.coordinates(50) == pytest.approx(oracle.witness["coordinates"][:50],
+                                                rel=1e-12, abs=1e-15)
+
+
+def test_lp_solver_three_functionals_at_p10():
+    # slow geometric(0.7) and harmonic tails with q = 10/9 close to 1
+    sol = mni_solve_lp(_three_functionals(), 10.0)
+    assert sol.interp_residual <= 1e-6
+    assert sol.tail_bound <= 0.02 / sol.value
+    assert sol.value > 0
+
+
+def test_lp_solver_newton_cap_raises_with_its_decrement(monkeypatch):
+    from rkbs_sparse import sequence
+    monkeypatch.setattr(sequence, "_LP_NEWTON_ROUNDS", 0)
+    with pytest.raises(rk.ConvergenceError) as err:
+        mni_solve_lp(_three_functionals(), 4.0)
+    assert math.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def test_lp_solver_warm_start_keeps_each_level_stationary(worked_example):
+    # a fixed level solved cold equals the default doubling's last level
+    sol = mni_solve_lp(worked_example, 4.0)
+    cold = mni_solve_lp(worked_example, 4.0, truncation=sol.truncation_used)
+    assert cold.dual_coefficients == pytest.approx(sol.dual_coefficients, rel=1e-12)
+    assert cold.tail_bound == pytest.approx(sol.tail_bound, rel=1e-12)
+
+
+def test_lp_solver_dependent_functionals():
+    # along y's complement the Hessian is rounding: no Newton step is taken
+    pair = [rk.finite([1.0, 1.0]), rk.finite([2.0, 2.0])]
+    for p in (1.5, 2.0, 4.0):
+        sol = mni_solve_lp(rk.seq_problem(pair, [1.0, 2.0]), p)
+        assert sol.coordinates(3) == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+    # y off the functionals' span: c.y = 1 reaches V^T c = 0
+    with pytest.raises(DomainError):
+        mni_solve_lp(rk.seq_problem(pair, [1.0, 1.0]), 2.0)
+
+
+@pytest.mark.parametrize("truncation", [-4, 0, 2.5, 64.0, True, "64", 2 ** 21])
+def test_lp_solver_rejects_a_truncation_that_is_not_a_whole_level(worked_example, truncation):
+    with pytest.raises(DomainError):
+        mni_solve_lp(worked_example, 2.0, truncation=truncation)
 
 
 def test_support_dependency_examples(worked_example):
