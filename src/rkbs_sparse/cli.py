@@ -240,6 +240,8 @@ def parse_problem(doc: Any, option_overrides: Dict[str, Any]) -> ParsedProblem:
         if "lambdas" not in doc:
             raise ValidationError("task 'path' requires the field lambdas")
         parsed.lambdas = _number_list(doc["lambdas"], "lambdas")
+        if not all(lam > 0 for lam in parsed.lambdas):
+            raise ValidationError("lambdas must be strictly positive")
     if task == "lambda-check":
         alpha = doc.get("alpha")
         if not isinstance(alpha, list):

@@ -15,15 +15,15 @@ warm-starts from the previous optimal basis (column generation).
 Borderline center separations (around twice the bandwidth) produce
 critical points of g where the second derivative also vanishes, so the
 sup is quartically flat and neither function values nor Newton steps can
-localize it accurately.  Two safeguards deal with this: refined maxima
-are replaced by the midpoint of a tiny level-set plateau (exact for the
-symmetric flat case), and the final primal-dual pair is polished by a
-Newton iteration on the joint stationarity system, whose interpolation
-rows pin the atom locations with full quadratic convergence.  A scan
-refines all its seeds at once: its Newton rounds share one kernel call
-per derivative, and its plateau search one kernel call per stage (a
-doubling stage, then bisection stages of 31 points per bracket), so its
-kernel calls do not grow with the number of maxima it refines.
+localize it accurately.  Two safeguards deal with this: the refined
+maxima of an attainment set are replaced by the midpoint of a tiny
+level-set plateau (exact for the symmetric flat case), and the final
+primal-dual pair is polished by a Newton iteration on the joint
+stationarity system, whose interpolation rows pin the atom locations
+with full quadratic convergence; exchange rounds use the Newton maxima
+as they are.  A scan's Newton rounds share one kernel call per
+derivative, and its plateau search one per stage (a doubling stage, then
+31 points per bracket per bisection stage), however many maxima.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def _local_maxima(vals: np.ndarray) -> np.ndarray:
 
 
 def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
-                 keep_above: float, relative: bool = False) -> Tuple[float, List[float]]:
-    """Grid supremum of |g| and refined local maxima above ``keep_above``.
+                 keep_above: float, relative: bool = False) -> Tuple[float, np.ndarray]:
+    """Grid supremum of |g| and the Newton-refined local maxima above ``keep_above``.
 
     With ``relative`` the level is ``keep_above`` times the grid supremum,
     and a supremum within one grid step of the domain boundary raises
@@ -215,9 +215,7 @@ def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
     slack = 0.5 * step * step * curv
     seeds = _local_maxima(vals)
     seeds = seeds[vals[seeds] >= keep_above - slack]
-    refined = _refine_maxima(c, problem, grid[seeds], step,
-                             np.where(g[seeds] >= 0, 1.0, -1.0))
-    return sup, _plateau_midpoints(c, problem, refined)
+    return sup, _refine_maxima(c, problem, grid[seeds], step, np.where(g[seeds] >= 0, 1.0, -1.0))
 
 
 def _merge_points(c: np.ndarray, problem: GaussProblem,
@@ -262,10 +260,10 @@ def find_attainment_points(c: Sequence[float], problem: GaussProblem,
     """Points where |sum_j c_j K(x_j, .)| attains its supremum.
 
     Dense grid scan at ``grid_step``, Newton refinement of every local
-    maximum within ``attain_tol`` of the supremum, plateau-midpoint
-    symmetrization, and dedup within sigma*1e-6.  Raises DomainError if
-    the supremum sits within one grid step of the domain boundary, which
-    signals that the domain needs widening.
+    maximum within ``attain_tol`` of the supremum (``_scan_maxima``), the
+    scan's one plateau-midpoint search, and dedup within sigma*1e-6.
+    Raises DomainError if the supremum sits within one grid step of the
+    domain boundary, which signals that the domain needs widening.
     """
     c = np.asarray(c, dtype=float)
     if float(np.max(np.abs(c))) == 0.0:
@@ -274,7 +272,7 @@ def find_attainment_points(c: Sequence[float], problem: GaussProblem,
     attain = attain_tol if attain_tol is not None else problem.options.attain_tol
 
     sup, refined = _scan_maxima(c, problem, step, 1.0 - attain, relative=True)
-    refined = _merge_points(c, problem, refined)
+    refined = _merge_points(c, problem, _plateau_midpoints(c, problem, refined))
     vals = np.abs(gauss_eval(c, problem, np.asarray(refined)))
     sup_ref = float(np.max(vals, initial=sup))
     return sorted(t for t, v in zip(refined, vals) if v >= sup_ref * (1.0 - attain))
@@ -334,12 +332,12 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     points t_j, whose simplex multipliers are the dual c
     (``optim.l1_column_simplex``).  It then locates the worst violation of
     the sup-norm constraint by grid scan plus Newton refinement and adds
-    the violating points.  A new point only adds a column, so the previous
-    optimal basis stays feasible and warm-starts the next round; the first
-    round starts from the n center columns.  Terminates when the violation
-    is at most ``attain_tol``; hitting ``max_exchange_iters``, or a stall
-    that would need a scan grid of more than ``_MAX_SCAN_POINTS`` points,
-    raises ConvergenceError with the last violation.
+    the violating Newton points.  A new point only adds a column, so the
+    previous optimal basis stays feasible and warm-starts the next round;
+    the first round starts from the n center columns.  Terminates when the
+    violation is at most ``attain_tol``; hitting ``max_exchange_iters``, or
+    a stall that would need a scan grid of more than ``_MAX_SCAN_POINTS``
+    points, raises ConvergenceError with the last violation.
     """
     y = problem.y_vector()
     if float(np.max(np.abs(y))) == 0.0:
@@ -358,8 +356,8 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
         basic, signs = [working[j] for j in lp.cols], lp.signs
         c = lp.dual
         sup, refined = _scan_maxima(c, problem, step, keep_above=1.0)
-        vals = np.abs(gauss_eval(c, problem, np.asarray(refined)))
-        cand = sorted(((float(v), t) for v, t in zip(vals, refined) if v > 1.0),
+        vals = np.abs(gauss_eval(c, problem, refined))
+        cand = sorted(((float(v), float(t)) for v, t in zip(vals, refined) if v > 1.0),
                       reverse=True)
         violation = max(sup - 1.0, cand[0][0] - 1.0 if cand else -math.inf)
         if violation <= problem.options.attain_tol:

@@ -3,11 +3,11 @@
 Two revised simplex methods, both pivoting by Bland's rule, so that every
 LP follows one fixed pivot sequence, and neither carrying a tableau:
 ``l1_column_simplex`` for min ||alpha||_1 s.t. V alpha = y from a given
-feasible basis of n (column, sign) pairs, which runs the Gaussian
-exchange rounds and basis pursuit (``vertex_atoms`` turns its vertex into
-the atoms of the three pipelines); and the two-phase ``revised_simplex``
-for min cost.u s.t. A u <= b or = b, u >= 0 over a dense block of a few
-columns, which serves the two l1(N) dual LPs in ``sequence``.  Last, an
+feasible basis of n (column, sign) pairs, one inverse per basis, which
+runs the Gaussian exchange rounds and basis pursuit (``vertex_atoms``
+turns its vertex into the atoms of the three pipelines); and the
+two-phase ``revised_simplex`` for min cost.u s.t. A u <= b or = b, u >= 0
+over a dense block of a few columns, for the two l1(N) dual LPs.  Last, an
 exact LASSO solver for the square-loss l1-regularized subproblem, which
 walks the piecewise-linear solution path down in lambda once for a whole
 grid of lambdas (``lasso_path``; ``lasso_solve`` is its one-lambda call).
@@ -275,10 +275,10 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     The basis is n (column, sign) pairs whose signed columns B must give
     x_B = B^-1 y >= 0; with ``signs`` None they are read off
     sign(V[:, cols]^-1 y), which makes any nonsingular column choice a
-    feasible crash.  Every basis is solved afresh with its n x n matrix
-    (x_B = B^-1 y, c = B^-T 1, g = V^T c, each refined once against an
-    exactly rounded residual), so no tableau is carried and no rounding
-    drift builds up.  The basis is optimal once max|g| <= 1 + tol.
+    feasible crash.  Each basis is inverted once, afresh (``_factor``), for
+    x_B = B^-1 y, c = B^-T 1 and each entering direction B^-1 a, refined
+    once against exactly rounded residuals: no tableau, no rounding drift.
+    The basis is optimal once g = V^T c has max|g| <= 1 + tol.
 
     Pivots follow Bland's rule: the first column with |g_j| > 1 + tol
     enters with sign(g_j), and ratio-test ties leave by the smallest index
@@ -302,18 +302,9 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     cols = np.array(cols, dtype=int)
     if y.size != n or cols.shape != (n,):
         raise DomainError("need one basic column per row of V")
-    x = None
-    if signs is None:
-        x = _basis_solve(V[:, cols], y)  # a column flip flips its weight exactly
-        signs, x = np.where(x < 0.0, -1.0, 1.0), np.abs(x)
-    signs = np.array(signs, dtype=float)
     max_attempts = _PIVOTS_PER_COLUMN * (n + ncols)
     scale = 1.0 + float(np.max(np.abs(y)))
-    ones = np.ones(n)
-
-    B = V[:, cols] * signs
-    x = _basis_solve(B, y) if x is None else x
-    c = _basis_solve(B.T, ones)
+    x, c, signs, B, inv = _factor(V[:, cols], signs, y)
     g = c @ V
     untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis
     attempts = 0
@@ -325,7 +316,8 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
         j = int(entering[0])
         untried[j] = False
         s = 1.0 if g[j] > 0 else -1.0
-        d = _basis_solve(B, s * V[:, j])
+        d = inv @ (s * V[:, j])
+        d += inv @ _exact_residual(B, d, s * V[:, j])  # refined once, as in _factor
         rows = np.flatnonzero(d > _PIVOT_TOL)
         if rows.size == 0:  # a descent direction below 0 is rounding
             continue
@@ -335,12 +327,10 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
         r = int(tied[np.argmin(2 * cols[tied] + (signs[tied] < 0))])
         new_cols, new_signs = cols.copy(), signs.copy()
         new_cols[r], new_signs[r] = j, s
-        new_B = V[:, new_cols] * new_signs
-        new_x = _basis_solve(new_B, y)
-        if float(np.min(new_x)) < min(float(np.min(x)), -0.1 * tol * scale) - feas:
+        new = _factor(V[:, new_cols], new_signs, y)
+        if float(np.min(new[0])) < min(float(np.min(x)), -0.1 * tol * scale) - feas:
             continue
-        cols, signs, B, x = new_cols, new_signs, new_B, new_x
-        c = _basis_solve(B.T, ones)
+        cols, (x, c, signs, B, inv) = new_cols, new
         g = c @ V
         untried[:] = True
 
@@ -359,26 +349,36 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     return ColumnBasis(cols=cols, signs=signs, weights=x, dual=c)
 
 
-def _basis_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """B^-1 rhs, refined once against the exactly rounded residual.
+def _factor(V_B: np.ndarray, signs, y: np.ndarray):
+    """(x_B, c, signs, B, B^-1) of the basis B = V_B diag(signs), from one inverse.
 
-    Bases of nearby kernel columns reach condition numbers near 1e10,
-    where a plain solve leaves x_B wrong from its seventh digit; the
-    refinement recovers it to about double rounding while cond(B) eps < 1.
+    A column flip flips its weight and its row of B^-1 exactly, so signs
+    None are read off sign(V_B^-1 y).  x_B = B^-1 y and c = B^-T 1 are
+    refined once against exactly rounded residuals, in one call, to about
+    double rounding while cond(B) eps < 1 (nearby kernel columns: 1e10).
     """
     try:
-        x = np.linalg.solve(B, rhs)
-        return x + np.linalg.solve(B, _exact_residual(B, x, rhs))
+        inv = np.linalg.inv(V_B)
     except np.linalg.LinAlgError:
         raise ConvergenceError("column simplex basis is singular") from None
+    if signs is None:
+        x = inv @ y
+        signs = np.where(x + inv @ _exact_residual(V_B, x, y) < 0.0, -1.0, 1.0)
+    signs = np.array(signs, dtype=float)
+    B, inv, ones = V_B * signs, inv * signs[:, None], np.ones(y.size)
+    x, c = inv @ y, ones @ inv
+    r = _exact_residual(np.vstack((B, B.T)), np.repeat([x, c], y.size, axis=0),
+                        np.concatenate((y, ones)))
+    return x + inv @ r[:y.size], c + r[y.size:] @ inv, signs, B, inv
 
 
 def _exact_residual(B: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs - B x rounded once per entry, in float64 on any platform.
 
-    Each product B_ij x_j is carried as its double p and its exact
-    rounding error (Dekker's product over Veltkamp splits), and each row
-    of p + error - rhs_i is summed exactly by math.fsum.
+    x is one vector, or one row per row of B.  Each product B_ij x_ij is
+    carried as its double p and its exact rounding error (Dekker's product
+    over Veltkamp splits), and each row of p + error - rhs_i is summed
+    exactly by math.fsum.
     """
     p = B * x
     B_hi, B_lo = _split(B)

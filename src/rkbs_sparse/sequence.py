@@ -444,7 +444,8 @@ def mni_solve_lp(problem: SeqProblem, p: float,
     the tail is below 2% of the dual norm or K reaches 2**17 (slow tails
     such as the harmonic one make tighter gates unreachable), or fixed at
     a whole-number ``truncation``.  Compare with the normal-equations
-    oracle at the same K; the reported ``tail_bound`` bounds the bias.
+    oracle at the same K; the reported ``tail_bound``, the lq tail
+    sum_j |c_j| lq_tail(K, q) of the reported c, bounds the bias.
     """
     if not 1.0 < p < math.inf:
         raise DomainError("p must lie in (1, inf)")
@@ -475,7 +476,7 @@ def mni_solve_lp(problem: SeqProblem, p: float,
                                f"(residual {residual:.3e})", residual=residual)
     return LpSolution(p=p, q=q, dual_coefficients=tuple(float(v) for v in c_hat),
                       value=m0, combined=combined, truncation_used=K,
-                      tail_bound=tail, interp_residual=residual)
+                      tail_bound=m0 * tail, interp_residual=residual)
 
 
 INDEPENDENT = "independent"

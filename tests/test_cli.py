@@ -124,7 +124,17 @@ def test_non_finite_gaussian_data_is_validation_error(tmp_path, capsys, field, v
 
 def test_path_with_a_nan_lambda_fails_without_a_report(tmp_path, capsys):
     code, text = _run(tmp_path, ["path"], dict(PATH_DOC, lambdas=[0.5, math.nan]))
-    assert code == cli.EXIT_SOLVER
+    assert code == cli.EXIT_VALIDATION
+    assert text == ""
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "strictly positive" in err["message"]
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5])
+def test_path_with_a_nonpositive_lambda_fails_without_a_report(tmp_path, capsys, lam):
+    # rejected when the file is read, like a nonpositive lambda of reg
+    code, text = _run(tmp_path, ["path"], dict(PATH_DOC, lambdas=[0.5, lam]))
+    assert code == cli.EXIT_VALIDATION
     assert text == ""
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert "strictly positive" in err["message"]

@@ -387,20 +387,23 @@ def _family_problem(index):
 
 @pytest.mark.parametrize("index", [0, 4, 8])
 def test_plateau_search_matches_scalar_reference(monkeypatch, index):
-    # every plateau search of a full solve, seed by seed against the
+    # the plateau search on the refined maxima of every scan of a full
+    # solve, exchange rounds included, seed by seed against the
     # doubling-plus-bisection reference
     import rkbs_sparse.measure as measure_mod
     problem = _family_problem(index)
-    searched = []
-    batched = measure_mod._plateau_midpoints
+    scanned = []
+    scan = measure_mod._scan_maxima
 
-    def recording(c, problem, ts):
-        out = batched(c, problem, ts)
-        searched.append((np.array(c), list(ts), out))
-        return out
+    def recording(c, problem, *args, **kwargs):
+        sup, refined = scan(c, problem, *args, **kwargs)
+        scanned.append((np.array(c), list(refined)))
+        return sup, refined
 
-    monkeypatch.setattr(measure_mod, "_plateau_midpoints", recording)
+    monkeypatch.setattr(measure_mod, "_scan_maxima", recording)
     mni_solve_measure(problem)
+    batched = measure_mod._plateau_midpoints
+    searched = [(c, ts, batched(c, problem, ts)) for c, ts in scanned]
     assert sum(len(ts) for _, ts, _ in searched) >= 50
     eps = np.finfo(float).eps
     for c, ts, out in searched:
@@ -424,6 +427,35 @@ def test_plateau_search_matches_scalar_reference(monkeypatch, index):
             ref = _plateau_midpoint_reference(c, problem, float(t_hat))
             assert t != t_hat
             assert abs(t - ref) <= problem.sigma * 1e-12
+
+
+def test_plateau_search_runs_once_per_attainment_scan(monkeypatch):
+    # the exchange rounds test and add their violators at the Newton
+    # points, so a solve searches plateaus only in its three attainment
+    # scans (the certificate's two and the one after the polish), however
+    # many exchange rounds it runs
+    import rkbs_sparse.measure as measure_mod
+    scans, searches, iters = [], [], set()
+    attainment, plateau = measure_mod.find_attainment_points, measure_mod._plateau_midpoints
+
+    def scanning(*args, **kwargs):
+        scans.append(1)
+        return attainment(*args, **kwargs)
+
+    def searching(*args):
+        searches.append(1)
+        return plateau(*args)
+
+    monkeypatch.setattr(measure_mod, "find_attainment_points", scanning)
+    monkeypatch.setattr(measure_mod, "_plateau_midpoints", searching)
+    for index in range(6):
+        scans.clear()
+        searches.clear()
+        sol = mni_solve_measure(_family_problem(index))
+        iters.add(sol.certificate.exchange_iters)
+        assert len(scans) == 3
+        assert len(searches) == 3
+    assert len(iters) > 1
 
 
 def test_plateau_search_keeps_seed_where_g_vanishes():
@@ -566,7 +598,8 @@ def test_merge_collapses_plateau_twins_into_one_point():
 
 def test_scan_kernel_calls_do_not_grow_with_seeds(monkeypatch):
     # one grid evaluation plus a fixed number of batched plateau stages,
-    # however many local maxima the scan refines
+    # however many local maxima the scan refines and the plateau search
+    # then moves, as in an attainment scan
     import rkbs_sparse.measure as measure_mod
     calls = []
     evaluate = measure_mod.gauss_eval
@@ -583,6 +616,7 @@ def test_scan_kernel_calls_do_not_grow_with_seeds(monkeypatch):
         c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         calls.clear()
         _, refined = measure_mod._scan_maxima(c, p, p.grid_step(), keep_above=0.5)
+        refined = measure_mod._plateau_midpoints(c, p, refined)
         assert len(refined) == n
         counts[n] = len(calls)
     assert counts[31] <= counts[3] + 2

@@ -104,7 +104,7 @@ def test_lp_reductions_match_highs_on_random_instances():
     # every reduction revised_simplex makes: row flips for right-hand sides
     # of either sign, the slack start basis of <= rows and the phase-1
     # artificials of == rows and flipped <= rows, over x >= 0
-    from scipy.optimize import linprog
+    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(20240607)
     statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     seen = set()
@@ -139,7 +139,7 @@ def test_lp_drops_redundant_equality_rows_and_matches_highs(monkeypatch):
     # a duplicated equality row and one that is the sum of two others stay
     # basic on their artificial after phase 1, with an all-zero row of
     # B^-1 A, so both are dropped before phase 2
-    from scipy.optimize import linprog
+    linprog = pytest.importorskip("scipy.optimize").linprog
     bland = optim_mod._bland_revised
     live = []
 
@@ -174,7 +174,7 @@ def test_working_lp_matches_highs_on_random_instances():
     # n <= 8.  HiGHS drops matrix entries below 1e-9 (its small_matrix_value),
     # which moves the optimum of instance 44 by 5.6e-9 relative, so both
     # solvers get V with those entries zeroed.
-    from scipy.optimize import linprog
+    linprog = pytest.importorskip("scipy.optimize").linprog
     from rkbs_sparse.sequence import _solve_working_lp
     problems = random_seq_instances(100, max_n=8, seed=8128)
     assert max(p.n for p in problems) == 8
@@ -202,7 +202,7 @@ def _gauss_working_set(rng):
 
 
 def _highs_l1(V, y):
-    from scipy.optimize import linprog
+    linprog = pytest.importorskip("scipy.optimize").linprog
     W = V.shape[1]
     ref = linprog(np.ones(2 * W), A_eq=np.hstack([V, -V]), b_eq=y,
                   bounds=(0, None), method="highs")
@@ -308,6 +308,53 @@ def test_exact_residual_is_correctly_rounded():
             exact = Fraction(rhs[i]) - sum(Fraction(B[i, j]) * Fraction(x[j])
                                            for j in range(n))
             assert got[i] == float(exact)
+
+
+def test_exact_residual_is_correctly_rounded_row_by_row():
+    # with one x per row, as the column simplex stacks x_B against the rows
+    # of B and c against those of B^T, each row is still rounded once
+    from fractions import Fraction
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        m, n = int(rng.integers(1, 33)), int(rng.integers(1, 17))
+        B = np.exp(-0.5 * (rng.uniform(-8, 8, m)[:, None] - rng.uniform(-8, 8, n)) ** 2)
+        X = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 6.0, (m, n))
+        rhs = np.sum(B * X, axis=1) + rng.normal(size=m) * 1e-12
+        got = _exact_residual(B, X, rhs)
+        assert got.shape == (m,)
+        for i in range(m):
+            exact = Fraction(rhs[i]) - sum(Fraction(B[i, j]) * Fraction(X[i, j])
+                                           for j in range(n))
+            assert got[i] == float(exact)
+
+
+def test_l1_column_simplex_inverts_each_basis_once(monkeypatch):
+    # one np.linalg.inv per basis formed (the crash, and every pivot whether
+    # kept or undone), read back as the columns it inverts, and no solve
+    inverted, solves = [], []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.array(a)) or inv(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    rng = np.random.default_rng(7)
+    pivoted = 0
+    for _ in range(30):
+        V, y = _gauss_working_set(rng)
+        n = y.size
+        half = n + (V.shape[1] - n) // 2
+        stale = None
+        for W in (V[:, :half], V):  # a cold crash, then a warm start from its basis
+            inverted.clear()
+            start = np.arange(n) if stale is None else stale.cols
+            sol = l1_column_simplex(W, y, start, None if stale is None else stale.signs)
+            bases = [frozenset(int(np.flatnonzero(np.all(W == col[:, None], axis=0))[0])
+                               for col in B.T) for B in inverted]
+            assert bases[0] == frozenset(start.tolist())
+            assert len(set(bases)) == len(bases)
+            assert frozenset(sol.cols.tolist()) in bases
+            pivoted += len(bases) > 1
+            stale = sol
+    assert not solves
+    assert pivoted >= 20
 
 
 def test_l1_column_simplex_rejects_an_infeasible_basis():

@@ -343,8 +343,22 @@ def test_lp_solver_three_functionals_at_p10():
     # slow geometric(0.7) and harmonic tails with q = 10/9 close to 1
     sol = mni_solve_lp(_three_functionals(), 10.0)
     assert sol.interp_residual <= 1e-6
-    assert sol.tail_bound <= 0.02 / sol.value
+    assert sol.tail_bound <= 0.02
     assert sol.value > 0
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 4.0])
+def test_lp_solver_reports_the_tail_of_its_reported_c(p):
+    # tail_bound is the lq tail of the printed dual c, which has unit
+    # q-norm on the coordinates, not of the slice-normalized c.y = 1
+    problem = _three_functionals()
+    sol = mni_solve_lp(problem, p)
+    tail = sum(abs(c) * f.lq_tail(sol.truncation_used, sol.q)
+               for c, f in zip(sol.dual_coefficients, problem.functionals))
+    assert sol.tail_bound == pytest.approx(tail, rel=1e-13)
+    coords = sum(c * f.coordinates(sol.truncation_used)
+                 for c, f in zip(sol.dual_coefficients, problem.functionals))
+    assert float(np.linalg.norm(coords, sol.q)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lp_solver_newton_cap_raises_with_its_decrement(monkeypatch):
