@@ -23,7 +23,9 @@ stationarity system, whose interpolation rows pin the atom locations
 with full quadratic convergence; exchange rounds use the Newton maxima
 as they are.  A scan's Newton rounds share one kernel call per
 derivative, and its plateau search one per stage (a doubling stage, then
-31 points per bracket per bisection stage), however many maxima.
+31 points per bracket per bisection stage), however many maxima.  The
+exchange rounds of a solve share one kernel matrix of their scan grid,
+built again only when the grid is densified.
 """
 
 from __future__ import annotations
@@ -184,6 +186,12 @@ def _grid(problem: GaussProblem, step: float) -> np.ndarray:
     return np.linspace(lo, hi, max(count, 9))
 
 
+def _scan_grid(problem: GaussProblem, step: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The scan grid at ``step`` and its kernel rows K(x_j, grid), for one solve to share."""
+    grid = _grid(problem, step)
+    return grid, _kernel(problem, grid)
+
+
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
     left = np.r_[True, vals[1:] >= vals[:-1]]
     right = np.r_[vals[:-1] >= vals[1:], True]
@@ -192,15 +200,17 @@ def _local_maxima(vals: np.ndarray) -> np.ndarray:
 
 
 def _scan_maxima(c: np.ndarray, problem: GaussProblem, step: float,
-                 keep_above: float, relative: bool = False) -> Tuple[float, np.ndarray]:
+                 keep_above: float, relative: bool = False,
+                 scan: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tuple[float, np.ndarray]:
     """Grid supremum of |g| and the Newton-refined local maxima above ``keep_above``.
 
+    ``scan`` is the ``_scan_grid`` of this step, when the caller has it.
     With ``relative`` the level is ``keep_above`` times the grid supremum,
     and a supremum within one grid step of the domain boundary raises
     DomainError, which signals that the domain needs widening.
     """
-    grid = _grid(problem, step)
-    g = gauss_eval(c, problem, grid)
+    grid, K = _scan_grid(problem, step) if scan is None else scan
+    g = K @ c
     vals = np.abs(g)
     imax = int(np.argmax(vals))
     sup = float(vals[imax])
@@ -332,7 +342,8 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     points t_j, whose simplex multipliers are the dual c
     (``optim.l1_column_simplex``).  It then locates the worst violation of
     the sup-norm constraint by grid scan plus Newton refinement and adds
-    the violating Newton points.  A new point only adds a column, so the
+    the violating Newton points; every round scans the one kernel matrix
+    of its grid (``_scan_grid``).  A new point only adds a column, so the
     previous optimal basis stays feasible and warm-starts the next round;
     the first round starts from the n center columns.  Terminates when the
     violation is at most ``attain_tol``; hitting ``max_exchange_iters``, or
@@ -347,6 +358,7 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
     working = sorted(set(np.linspace(lo, hi, 33)) | set(problem.centers))
     basic, signs = list(problem.centers), None
     violation = math.inf
+    scan = _scan_grid(problem, step)
 
     for it in range(1, problem.options.max_exchange_iters + 1):
         index = {t: i for i, t in enumerate(working)}
@@ -355,12 +367,13 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
                                problem.options.tol)
         basic, signs = [working[j] for j in lp.cols], lp.signs
         c = lp.dual
-        sup, refined = _scan_maxima(c, problem, step, keep_above=1.0)
+        sup, refined = _scan_maxima(c, problem, step, keep_above=1.0, scan=scan)
         vals = np.abs(gauss_eval(c, problem, refined))
         cand = sorted(((float(v), float(t)) for v, t in zip(vals, refined) if v > 1.0),
                       reverse=True)
         violation = max(sup - 1.0, cand[0][0] - 1.0 if cand else -math.inf)
         if violation <= problem.options.attain_tol:
+            del scan  # free the grid kernel before the certificate scans a finer grid
             return _certificate(problem, c, it, max(violation, 0.0))
         added = False
         for _, t in cand[:5]:
@@ -375,6 +388,7 @@ def dual_solve_semiinfinite(problem: GaussProblem) -> ContinuousDualCertificate:
                 raise ConvergenceError(f"exchange method stalled at violation "
                                        f"{violation:.3e} on a full scan grid",
                                        residual=violation)
+            scan = _scan_grid(problem, step)
         working = sorted(working)
     raise ConvergenceError(
         f"exchange method exceeded {problem.options.max_exchange_iters} "

@@ -3,9 +3,10 @@
 Two revised simplex methods, both pivoting by Bland's rule, so that every
 LP follows one fixed pivot sequence, and neither carrying a tableau:
 ``l1_column_simplex`` for min ||alpha||_1 s.t. V alpha = y from a given
-feasible basis of n (column, sign) pairs, one inverse per basis, which
-runs the Gaussian exchange rounds and basis pursuit (``vertex_atoms``
-turns its vertex into the atoms of the three pipelines); and the
+feasible basis of n (column, sign) pairs, pivoting on rank-one updates of
+its inverse and refactoring at each candidate optimum; it runs the
+Gaussian exchange rounds and basis pursuit (``vertex_atoms`` turns its
+vertex into the atoms of the three pipelines); and the
 two-phase ``revised_simplex`` for min cost.u s.t. A u <= b or = b, u >= 0
 over a dense block of a few columns, for the two l1(N) dual LPs.  Last, an
 exact LASSO solver for the square-loss l1-regularized subproblem, which
@@ -275,10 +276,15 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     The basis is n (column, sign) pairs whose signed columns B must give
     x_B = B^-1 y >= 0; with ``signs`` None they are read off
     sign(V[:, cols]^-1 y), which makes any nonsingular column choice a
-    feasible crash.  Each basis is inverted once, afresh (``_factor``), for
-    x_B = B^-1 y, c = B^-T 1 and each entering direction B^-1 a, refined
-    once against exactly rounded residuals: no tableau, no rounding drift.
-    The basis is optimal once g = V^T c has max|g| <= 1 + tol.
+    feasible crash.  The crash is inverted afresh (``_factor``) for
+    x_B = B^-1 y and c = B^-T 1, both refined once against exactly rounded
+    residuals.  A pivot updates B^-1 by the rank-one eta step, x_B by
+    x_B - theta d (x_r = theta) and c = B^-T 1 from the updated inverse;
+    each entering direction d = B^-1 a is refined once against the exact
+    residual of the current B.  Once no column violates on the updated
+    prices, the basis is refactored and priced again, so the basis
+    returned is always a refined one: no tableau, no rounding drift.  The
+    basis is optimal once g = V^T c has max|g| <= 1 + tol.
 
     Pivots follow Bland's rule: the first column with |g_j| > 1 + tol
     enters with sign(g_j), and ratio-test ties leave by the smallest index
@@ -290,11 +296,15 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
     -tol (1 + ||y||_inf) / 10 and the old min x_B is undone and the next
     violating column tried.
 
-    Raises ConvergenceError carrying max|g| - 1 once
-    ``_PIVOTS_PER_COLUMN`` (n + columns) pivot attempts are spent or no
-    violating column admits a pivot, and carrying the primal residual if
-    the returned basis fails its recheck
-    ||B x_B - y||_inf <= tol (1 + ||y||_inf), min x_B >= -that.
+    The updates are dropped when they revisit a basis (Bland's rule never
+    does in exact arithmetic; updated prices can), spend the attempt
+    budget, or refactor to an x_B below the undo threshold; the call then
+    reruns from its start basis with a fresh budget and a refined factor
+    of every basis it pivots to.  Raises ConvergenceError carrying
+    max|g| - 1 once the rerun spends ``_PIVOTS_PER_COLUMN`` (n + columns)
+    pivot attempts or no violating column admits a pivot at a refined
+    basis, and carrying the primal residual if the returned basis fails
+    its recheck ||B x_B - y||_inf <= tol (1 + ||y||_inf), min x_B >= -that.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -304,35 +314,74 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
         raise DomainError("need one basic column per row of V")
     max_attempts = _PIVOTS_PER_COLUMN * (n + ncols)
     scale = 1.0 + float(np.max(np.abs(y)))
-    x, c, signs, B, inv = _factor(V[:, cols], signs, y)
-    g = c @ V
-    untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis
-    attempts = 0
-    while True:
-        entering = np.flatnonzero((np.abs(g) > 1.0 + tol) & untried)
-        if entering.size == 0 or attempts == max_attempts:
-            break
-        attempts += 1
-        j = int(entering[0])
-        untried[j] = False
-        s = 1.0 if g[j] > 0 else -1.0
-        d = inv @ (s * V[:, j])
-        d += inv @ _exact_residual(B, d, s * V[:, j])  # refined once, as in _factor
-        rows = np.flatnonzero(d > _PIVOT_TOL)
-        if rows.size == 0:  # a descent direction below 0 is rounding
-            continue
-        feas = _FEAS_ULPS * np.finfo(float).eps * (1.0 + float(np.sum(np.abs(x))))
-        limit = max(float(np.min((x[rows] + feas) / d[rows])), 0.0)
-        tied = rows[np.maximum(x[rows], 0.0) / d[rows] <= limit]
-        r = int(tied[np.argmin(2 * cols[tied] + (signs[tied] < 0))])
-        new_cols, new_signs = cols.copy(), signs.copy()
-        new_cols[r], new_signs[r] = j, s
-        new = _factor(V[:, new_cols], new_signs, y)
-        if float(np.min(new[0])) < min(float(np.min(x)), -0.1 * tol * scale) - feas:
-            continue
-        cols, (x, c, signs, B, inv) = new_cols, new
+    start = cols, signs
+    for update in (True, False):  # the update path, then, if it is dropped, a rerun
+        cols, signs = start
+        x, c, signs, B, inv = _factor(V[:, cols], signs, y)
         g = c @ V
-        untried[:] = True
+        untried = np.ones(ncols, dtype=bool)  # columns not yet refused at this basis
+        attempts, refined, dropped = 0, True, False
+        seen = None  # the bases of the update path, from its first pivot on
+        while True:
+            entering = np.flatnonzero((np.abs(g) > 1.0 + tol) & untried)
+            if entering.size == 0 and refined:
+                break
+            feas = _FEAS_ULPS * np.finfo(float).eps * (1.0 + float(np.sum(np.abs(x))))
+            floor = min(float(np.min(x)), -0.1 * tol * scale) - feas  # the undo threshold
+            if entering.size == 0:  # a candidate optimum: refactor and price again
+                x, c, signs, B, inv = _factor(V[:, cols], signs, y)
+                dropped = float(np.min(x)) < floor
+                if dropped:
+                    break
+                g = c @ V
+                untried[:] = True
+                refined = True
+                continue
+            if attempts == max_attempts:
+                dropped = update
+                break
+            attempts += 1
+            j = int(entering[0])
+            untried[j] = False
+            s = 1.0 if g[j] > 0 else -1.0
+            a = s * V[:, j]
+            d = inv @ a
+            d += inv @ _exact_residual(B, d, a)  # refined once, as in _factor
+            rows = np.flatnonzero(d > _PIVOT_TOL)
+            if rows.size == 0:  # a descent direction below 0 is rounding
+                continue
+            limit = max(float(np.min((x[rows] + feas) / d[rows])), 0.0)
+            tied = rows[np.maximum(x[rows], 0.0) / d[rows] <= limit]
+            r = int(tied[np.argmin(2 * cols[tied] + (signs[tied] < 0))])
+            new_cols, new_signs = cols.copy(), signs.copy()
+            new_cols[r], new_signs[r] = j, s
+            if update:  # the eta step: row r over d_r, each other row i less d_i times that
+                theta = x[r] / d[r]
+                new_x = x - theta * d
+                new_x[r] = theta
+                new_inv = inv - np.outer(d / d[r], inv[r])
+                new_inv[r] = inv[r] / d[r]
+                new_B = B.copy()
+                new_B[:, r] = a
+                new = new_x, new_inv.sum(axis=0), new_signs, new_B, new_inv
+            else:
+                new = _factor(V[:, new_cols], new_signs, y)
+            if float(np.min(new[0])) < floor:
+                continue
+            if update:
+                if seen is None:
+                    seen = {_basis_key(cols, signs)}
+                key = _basis_key(new_cols, new_signs)
+                dropped = key in seen
+                if dropped:
+                    break
+                seen.add(key)
+            cols, (x, c, signs, B, inv) = new_cols, new
+            g = c @ V
+            untried[:] = True
+            refined = not update
+        if not dropped:
+            break
 
     dual_residual = float(np.max(np.abs(g))) - 1.0
     if dual_residual > tol:
@@ -347,6 +396,11 @@ def l1_column_simplex(V: np.ndarray, y: np.ndarray, cols, signs=None,
             f"column simplex basis misses V alpha = y, alpha >= 0 by "
             f"{residual:.3e}", residual=residual)
     return ColumnBasis(cols=cols, signs=signs, weights=x, dual=c)
+
+
+def _basis_key(cols: np.ndarray, signs: np.ndarray) -> frozenset:
+    """A basis as the set of its (column, sign) pairs, 2 col + 1 for a negative sign."""
+    return frozenset((2 * cols + (signs < 0)).tolist())
 
 
 def _factor(V_B: np.ndarray, signs, y: np.ndarray):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -302,7 +303,8 @@ def test_exchange_densify_stops_at_the_scan_cap(monkeypatch):
     lo, hi = p.domain
     steps = []
 
-    def stalled(c, problem, step, keep_above):
+    def stalled(c, problem, step, keep_above, scan):
+        assert np.array_equal(scan[0], measure_mod._grid(problem, step))  # the densified grid
         steps.append(step)
         return 1.0 + 1e-3, []
 
@@ -646,21 +648,104 @@ def test_scan_refinement_kernel_calls_do_not_grow_with_seeds(monkeypatch):
 
 
 def test_attainment_scan_evaluates_its_grid_once(monkeypatch):
-    # the boundary check, the grid supremum and the local maxima all come
-    # from one evaluation of the scan grid, at either step
+    # an attainment scan builds the kernel rows of its grid once: the
+    # boundary check, the grid supremum and the local maxima all read them.
+    # A dual solve builds its exchange grid once for all its rounds, and
+    # each of the certificate's two attainment scans, at that step and at
+    # half of it, builds its own
     import rkbs_sparse.measure as measure_mod
-    sizes = []
-    evaluate = measure_mod.gauss_eval
+    shapes = []
+    kernel = measure_mod._kernel
 
-    def recording(c, problem, x):
-        sizes.append(np.size(x))
-        return evaluate(c, problem, x)
+    def recording(problem, t):
+        shapes.append(np.shape(t))
+        return kernel(problem, t)
 
-    monkeypatch.setattr(measure_mod, "gauss_eval", recording)
+    monkeypatch.setattr(measure_mod, "_kernel", recording)
     p = rk.gauss_problem([-1.0, 0.0, 1.5], 1.0, [1.0, -0.5, 0.8])
     c = np.array([1.0, -0.6, 0.9])
     for step in (p.grid_step(), p.grid_step() / 2.0):
-        sizes.clear()
-        points = measure_mod.find_attainment_points(c, p, grid_step=step)
-        assert points
-        assert sizes.count(measure_mod._grid(p, step).size) == 1
+        shapes.clear()
+        assert measure_mod.find_attainment_points(c, p, grid_step=step)
+        assert shapes.count(measure_mod._grid(p, step).shape) == 1
+    problem = _family_problem(1)
+    shapes.clear()
+    cert = dual_solve_semiinfinite(problem)
+    assert cert.exchange_iters > 2
+    step = problem.grid_step()
+    assert shapes.count(measure_mod._grid(problem, step).shape) == 2
+    assert shapes.count(measure_mod._grid(problem, step / 2.0).shape) == 1
+
+
+def _count_reruns(monkeypatch):
+    """A counter of the column-simplex calls that factor their start basis
+    twice: those that drop the update path and rerun from the crash."""
+    import rkbs_sparse.measure as measure_mod
+    import rkbs_sparse.optim as optim_mod
+    calls = []
+    simplex, factor = optim_mod.l1_column_simplex, optim_mod._factor
+
+    def simplex_spy(*args, **kwargs):
+        calls.append([])
+        return simplex(*args, **kwargs)
+
+    def factor_spy(V_B, signs, y):
+        calls[-1].append((V_B.tobytes(), None if signs is None else np.asarray(signs).tobytes()))
+        return factor(V_B, signs, y)
+
+    for module in (optim_mod, measure_mod):
+        monkeypatch.setattr(module, "l1_column_simplex", simplex_spy)
+    monkeypatch.setattr(optim_mod, "_factor", factor_spy)
+    return lambda: sum(bases[0] in bases[1:] for bases in calls)
+
+
+def test_exchange_rerun_keeps_entry_263(monkeypatch):
+    # on its updated prices one column simplex of this entry's exchange
+    # cycles back to a basis it left; that drops the update path at once
+    # (a key per update pivot: without the revisit test the cycle would
+    # run to the attempt cap), and the rerun, refactoring every
+    # basis, ends where the exact path always did
+    import rkbs_sparse.optim as optim_mod
+    reruns = _count_reruns(monkeypatch)
+    keys, key = [], optim_mod._basis_key
+    monkeypatch.setattr(optim_mod, "_basis_key",
+                        lambda cols, signs: keys.append(1) or key(cols, signs))
+    sol = mni_solve_measure(_family_problem(263))
+    assert reruns() == 1
+    assert len(keys) < 400
+    assert sol.certificate.exchange_iters == 17
+    assert len(sol.atoms) == 13
+    assert sol.tv_norm == pytest.approx(21.739520063801635, rel=1e-12)
+
+
+def test_reg_gaussian_rerun_matches_the_exact_path(monkeypatch):
+    # a Gaussian reg_solve whose column simplex calls rerun equals the one
+    # run with the update path disabled: a constant _basis_key makes every
+    # pivot a revisit, so every call that pivots reruns
+    import rkbs_sparse.optim as optim_mod
+    from rkbs_sparse.regpath import RegProblem, certified_lambda_max, reg_solve
+    base = _family_problem(0)
+    problem = RegProblem(base, 0.3 * certified_lambda_max(base))
+    with monkeypatch.context() as patch:
+        reruns = _count_reruns(patch)
+        sol = reg_solve(problem)
+        assert reruns() > 0
+    monkeypatch.setattr(optim_mod, "_basis_key", lambda cols, signs: None)
+    exact = reg_solve(problem)
+    assert sol == exact
+
+
+def test_gauss_panel_keeps_its_results():
+    # family entries 0-23, the gauss-mni benchmark panel: exchange rounds
+    # and atom counts exactly, TV norms to 1e-12 relative, as recorded in
+    # tests/data/gauss-panel.json before the column simplex pivoted on
+    # rank-one updates
+    path = os.path.join(os.path.dirname(__file__), "data", "gauss-panel.json")
+    with open(path) as f:
+        panel = json.load(f)
+    assert [row["entry"] for row in panel] == list(range(24))
+    for row in panel:
+        sol = mni_solve_measure(_family_problem(row["entry"]))
+        assert sol.certificate.exchange_iters == row["exchange_iters"]
+        assert len(sol.atoms) == row["atoms"]
+        assert sol.tv_norm == pytest.approx(row["tv_norm"], rel=1e-12)

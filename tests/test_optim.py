@@ -244,24 +244,29 @@ def test_l1_column_simplex_warm_start_from_stale_basis():
         assert float(np.max(np.abs(warm.dual @ V))) <= 1.0 + 1e-9
 
 
+def _clustered_working_set(rng):
+    """y from a few atoms, and working points clustered within 1e-6..1e-2 of them."""
+    n = int(rng.integers(6, 17))
+    centers = np.sort(np.linspace(-8.0, 8.0, n) + rng.uniform(-0.1, 0.1, n))
+    k = int(rng.integers(2, n // 2 + 1))
+    sites = rng.uniform(-9.0, 9.0, k)
+    y = np.exp(-0.5 * (centers[:, None] - sites) ** 2) @ rng.uniform(-1.0, 1.0, k)
+    offsets = rng.choice([-1.0, 1.0], (k, 6)) * 10.0 ** rng.uniform(-6.0, -2.0, (k, 6))
+    points = np.concatenate([centers, np.linspace(centers[0] - 5.0, centers[-1] + 5.0, 33),
+                             (sites[:, None] + offsets).ravel()])
+    return np.exp(-0.5 * (centers[:, None] - points) ** 2), y
+
+
 def test_l1_column_simplex_certifies_degenerate_clustered_working_sets():
-    # y from a few atoms, and working points clustered within 1e-6..1e-2 of
-    # them: degenerate LPs whose bases reach condition numbers near 1e10,
-    # as in the exchange rounds of regularization support updates.  Each
-    # result is checked by its own certificate: HiGHS only agrees to its
+    # degenerate LPs whose bases reach condition numbers near 1e10, as in
+    # the exchange rounds of regularization support updates.  Each result
+    # is checked by its own certificate: HiGHS only agrees to its
     # feasibility tolerance here.
     rng = np.random.default_rng(0)
     tol = 1e-9
     for _ in range(60):
-        n = int(rng.integers(6, 17))
-        centers = np.sort(np.linspace(-8.0, 8.0, n) + rng.uniform(-0.1, 0.1, n))
-        k = int(rng.integers(2, n // 2 + 1))
-        sites = rng.uniform(-9.0, 9.0, k)
-        y = np.exp(-0.5 * (centers[:, None] - sites) ** 2) @ rng.uniform(-1.0, 1.0, k)
-        offsets = rng.choice([-1.0, 1.0], (k, 6)) * 10.0 ** rng.uniform(-6.0, -2.0, (k, 6))
-        points = np.concatenate([centers, np.linspace(centers[0] - 5.0, centers[-1] + 5.0, 33),
-                                 (sites[:, None] + offsets).ravel()])
-        V = np.exp(-0.5 * (centers[:, None] - points) ** 2)
+        V, y = _clustered_working_set(rng)
+        n = y.size
         sol = l1_column_simplex(V, y, np.arange(n), tol=tol)
         scale = 1.0 + float(np.max(np.abs(y)))
         alpha = np.zeros(V.shape[1])
@@ -329,14 +334,18 @@ def test_exact_residual_is_correctly_rounded_row_by_row():
 
 
 def test_l1_column_simplex_inverts_each_basis_once(monkeypatch):
-    # one np.linalg.inv per basis formed (the crash, and every pivot whether
-    # kept or undone), read back as the columns it inverts, and no solve
-    inverted, solves = [], []
-    inv = np.linalg.inv
+    # one np.linalg.inv per refined factor, read back as the columns it
+    # inverts: the crash, then each candidate optimum of the update path,
+    # all distinct, the last one returned; the pivots between them update
+    # the inverse, so there are fewer inverses than pivots, and no solve
+    inverted, solves, keys = [], [], []
+    inv, key = np.linalg.inv, optim_mod._basis_key
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.array(a)) or inv(a))
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(optim_mod, "_basis_key",
+                        lambda cols, signs: keys.append(1) or key(cols, signs))
     rng = np.random.default_rng(7)
-    pivoted = 0
+    inverses = pivots = 0
     for _ in range(30):
         V, y = _gauss_working_set(rng)
         n = y.size
@@ -344,17 +353,38 @@ def test_l1_column_simplex_inverts_each_basis_once(monkeypatch):
         stale = None
         for W in (V[:, :half], V):  # a cold crash, then a warm start from its basis
             inverted.clear()
+            keys.clear()
             start = np.arange(n) if stale is None else stale.cols
             sol = l1_column_simplex(W, y, start, None if stale is None else stale.signs)
             bases = [frozenset(int(np.flatnonzero(np.all(W == col[:, None], axis=0))[0])
                                for col in B.T) for B in inverted]
             assert bases[0] == frozenset(start.tolist())
             assert len(set(bases)) == len(bases)
-            assert frozenset(sol.cols.tolist()) in bases
-            pivoted += len(bases) > 1
+            assert bases[-1] == frozenset(sol.cols.tolist())
+            inverses += len(bases)
+            pivots += max(len(keys) - 1, 0)  # a key per pivot, and the crash's at the first
             stale = sol
     assert not solves
-    assert pivoted >= 20
+    assert pivots >= 100
+    assert inverses < pivots
+
+
+def test_l1_column_simplex_update_path_matches_the_exact_path(monkeypatch):
+    # with _basis_key made constant every pivot revisits, so each call that
+    # pivots drops its update path and reruns with a refined factor per
+    # basis: the exact path.  Both end on the same basis with the same
+    # weights and dual, to the bit, on all 120 draws: none of them has two
+    # optimal bases that the two paths could reach apart
+    draws = []
+    for seed, draw in ((42, _gauss_working_set), (0, _clustered_working_set)):
+        rng = np.random.default_rng(seed)
+        draws += [draw(rng) for _ in range(60)]
+    updated = [l1_column_simplex(V, y, np.arange(y.size)) for V, y in draws]
+    monkeypatch.setattr(optim_mod, "_basis_key", lambda cols, signs: None)
+    exact = [l1_column_simplex(V, y, np.arange(y.size)) for V, y in draws]
+    for a, b in zip(updated, exact):
+        for field in ("cols", "signs", "weights", "dual"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_l1_column_simplex_rejects_an_infeasible_basis():
